@@ -50,14 +50,6 @@ WaferGeometry::sameDie(CoreCoord a, CoreCoord b) const
 }
 
 std::uint32_t
-WaferGeometry::manhattan(CoreCoord a, CoreCoord b) const
-{
-    const auto dr = a.row > b.row ? a.row - b.row : b.row - a.row;
-    const auto dc = a.col > b.col ? a.col - b.col : b.col - a.col;
-    return dr + dc;
-}
-
-std::uint32_t
 WaferGeometry::dieCrossings(CoreCoord a, CoreCoord b) const
 {
     const DieCoord da = dieOf(a);

@@ -80,8 +80,14 @@ class WaferGeometry
 
     bool sameDie(CoreCoord a, CoreCoord b) const;
 
-    /** Manhattan hop distance on the global core mesh. */
-    std::uint32_t manhattan(CoreCoord a, CoreCoord b) const;
+    /** Manhattan hop distance on the global core mesh. Inline: the
+     *  mapping cost tables call it once per candidate pair. */
+    std::uint32_t manhattan(CoreCoord a, CoreCoord b) const
+    {
+        const auto dr = a.row > b.row ? a.row - b.row : b.row - a.row;
+        const auto dc = a.col > b.col ? a.col - b.col : b.col - a.col;
+        return dr + dc;
+    }
 
     /**
      * Number of die boundaries an XY route from @p a to @p b crosses

@@ -8,13 +8,14 @@
 namespace ouro
 {
 
-std::uint32_t
-BlockKvManager::CoreState::totalFree() const
+BlockKvManager::CoreState
+BlockKvManager::CoreState::empty(const KvCoreInfo &info)
 {
-    std::uint32_t n = 0;
-    for (const auto f : freePerXbar)
-        n += f;
-    return n;
+    CoreState state;
+    state.info = info;
+    state.freePerXbar.assign(info.crossbars, info.blocksPerCrossbar);
+    state.freeBlocks = info.crossbars * info.blocksPerCrossbar;
+    return state;
 }
 
 BlockKvManager::BlockKvManager(const ModelConfig &model,
@@ -31,22 +32,14 @@ BlockKvManager::BlockKvManager(const ModelConfig &model,
     ouroAssert(threshold >= 0.0 && threshold < 1.0,
                "BlockKvManager: threshold out of [0,1)");
     for (auto &info : score_cores) {
-        CoreState state;
-        state.info = info;
-        state.freePerXbar.assign(info.crossbars,
-                                 info.blocksPerCrossbar);
         totalBlocks_ += static_cast<std::uint64_t>(info.crossbars) *
                         info.blocksPerCrossbar;
-        score_.push_back(std::move(state));
+        score_.push_back(CoreState::empty(info));
     }
     for (auto &info : context_cores) {
-        CoreState state;
-        state.info = info;
-        state.freePerXbar.assign(info.crossbars,
-                                 info.blocksPerCrossbar);
         totalBlocks_ += static_cast<std::uint64_t>(info.crossbars) *
                         info.blocksPerCrossbar;
-        context_.push_back(std::move(state));
+        context_.push_back(CoreState::empty(info));
     }
 }
 
@@ -98,6 +91,7 @@ BlockKvManager::allocBlocks(CoreState &core, HeadAlloc &alloc,
         ouroAssert(chosen < core.info.crossbars,
                    "allocBlocks: no free crossbar despite free count");
         --core.freePerXbar[chosen];
+        --core.freeBlocks;
         ++usedBlocks_;
         // Record ownership for release accounting.
         bool merged = false;
@@ -122,6 +116,7 @@ BlockKvManager::releaseAlloc(std::vector<CoreState> &ring,
     CoreState &core = ring[alloc.core];
     for (const auto &[xbar, count] : alloc.perXbar) {
         core.freePerXbar[xbar] += count;
+        core.freeBlocks += count;
         ouroAssert(core.freePerXbar[xbar] <=
                    core.info.blocksPerCrossbar,
                    "releaseAlloc: double free");
@@ -192,6 +187,67 @@ BlockKvManager::unlinkMru(std::uint32_t slot)
     seq.mruNext = kNilSlot;
 }
 
+bool
+BlockKvManager::planRing(const std::vector<CoreState> &ring,
+                         std::uint32_t need,
+                         std::vector<HeadAlloc> &allocs,
+                         std::uint32_t &cursor) const
+{
+    const auto heads = static_cast<std::uint32_t>(allocs.size());
+    const auto ring_size = static_cast<std::uint32_t>(ring.size());
+    std::uint32_t placed = 0;
+    std::uint32_t probe = cursor;
+    std::uint32_t probes = 0;
+    while (placed < heads && probes < 2 * ring_size + heads) {
+        const std::uint32_t index = probe % ring_size;
+        const CoreState &core = ring[index];
+        ++probes;
+        ++probe;
+        if (core.markedFull)
+            continue;
+        // Admission requires the post-allocation residue to stay
+        // above the threshold reserve - small (spare-crossbar) cores
+        // therefore only take sequences they can also grow (Section
+        // 4.4.4's anti-thrashing rule).
+        const double capacity =
+            static_cast<double>(core.info.crossbars) *
+            core.info.blocksPerCrossbar;
+        const auto reserve = static_cast<std::uint32_t>(
+                std::ceil(threshold_ * capacity));
+        // Blocks this walk already planned on the core: only a walk
+        // that has wrapped the ring can revisit one.
+        std::uint32_t planned = 0;
+        if (probes > ring_size) {
+            for (std::uint32_t h = 0; h < placed; ++h)
+                planned += allocs[h].core == index ? need : 0;
+        }
+        if (core.totalFree() >= planned + need + reserve)
+            allocs[placed++].core = index;
+    }
+    cursor = probe % ring_size;
+    return placed == heads;
+}
+
+void
+BlockKvManager::commitRing(std::vector<CoreState> &ring,
+                           std::vector<HeadAlloc> &allocs,
+                           std::uint32_t need,
+                           std::uint64_t initial_tokens, bool is_v)
+{
+    for (HeadAlloc &alloc : allocs) {
+        CoreState &core = ring[alloc.core];
+        const bool ok = allocBlocks(core, alloc, need, is_v);
+        ouroAssert(ok, "tryAdmitOnce: planned alloc failed");
+        alloc.lastBlockFill = static_cast<std::uint32_t>(
+                initial_tokens == 0
+                    ? 0
+                    : initial_tokens -
+                      (static_cast<std::uint64_t>(need) - 1) *
+                      tokensPerBlock_);
+        applyThreshold(core);
+    }
+}
+
 std::uint32_t
 BlockKvManager::tryAdmitOnce(std::uint64_t seq_id,
                              std::uint64_t initial_tokens)
@@ -199,74 +255,58 @@ BlockKvManager::tryAdmitOnce(std::uint64_t seq_id,
     const auto heads = static_cast<std::uint32_t>(model_.numKvHeads);
     const std::uint32_t need = blocksFor(initial_tokens);
 
+    // Why the memo is exact. Whether an admission fits is a function
+    // of (need, ring states, cursors) only - never of the sequence id
+    // or of the token count beyond its block need. Every state change
+    // that can turn a failure into a fit bumps capacityEpoch_:
+    //  - releaseSlot returns blocks and may clear markedFull; it is
+    //    the one release path (release, MRU eviction in admit/grow,
+    //    and dropCore's victims all go through it);
+    //  - adoptCore adds a core and changes the ring size, hence the
+    //    probe bound and the probe -> core mapping;
+    //  - a successful admission moves the cursors.
+    // Between bumps only three things run. grow() allocates (fewer
+    // free blocks) and may set markedFull; growFast() moves fill
+    // counters and touches no capacity; dropCore's fence zeroes free
+    // blocks and sets markedFull. A plan is monotone in capacity: the
+    // walk probes cursor, cursor + 1, ... up to a bound fixed by the
+    // ring size and head count, never by the pool state; a core takes
+    // a head on a visit only while it is not marked full and its free
+    // blocks minus those already planned on it cover need + reserve,
+    // so with fewer free blocks (or the mark set) every core takes at
+    // most as many heads by each probe as before, and a walk that
+    // fell short of the head count still falls short. Hence a failure
+    // memoized at this epoch for this need is exactly the answer a
+    // full plan would give now.
+    if (need == failedNeed_ && capacityEpoch_ == failedEpoch_)
+        return kNilSlot;
+
     SequenceState seq;
     seq.seqId = seq_id;
     seq.tokens = initial_tokens;
     seq.k.resize(heads);
     seq.v.resize(heads);
 
-    auto place = [&](std::vector<CoreState> &ring,
-                     std::vector<HeadAlloc> &allocs,
-                     std::uint32_t &cursor, bool is_v) -> bool {
-        std::uint32_t placed = 0;
-        std::uint32_t probe = cursor;
-        std::uint32_t probes = 0;
-        const auto ring_size =
-            static_cast<std::uint32_t>(ring.size());
-        while (placed < heads && probes < 2 * ring_size + heads) {
-            CoreState &core = ring[probe % ring_size];
-            ++probes;
-            // Admission requires the post-allocation residue to stay
-            // above the threshold reserve - small (spare-crossbar)
-            // cores therefore only take sequences they can also
-            // grow (Section 4.4.4's anti-thrashing rule).
-            const double capacity =
-                static_cast<double>(core.info.crossbars) *
-                core.info.blocksPerCrossbar;
-            const auto reserve = static_cast<std::uint32_t>(
-                    std::ceil(threshold_ * capacity));
-            if (!core.markedFull &&
-                core.totalFree() >= need + reserve) {
-                HeadAlloc &alloc = allocs[placed];
-                alloc.core = probe % ring_size;
-                alloc.homeXbar = 0;
-                const bool ok =
-                    allocBlocks(core, alloc, need, is_v);
-                ouroAssert(ok, "tryAdmitOnce: alloc failed");
-                alloc.lastBlockFill = static_cast<std::uint32_t>(
-                        initial_tokens == 0
-                            ? 0
-                            : initial_tokens -
-                              (static_cast<std::uint64_t>(need) - 1) *
-                              tokensPerBlock_);
-                applyThreshold(core);
-                ++placed;
-            }
-            ++probe;
-        }
-        cursor = probe % ring_size;
-        return placed == heads;
-    };
-
-    const std::uint32_t saved_score = scoreCursor_;
-    const std::uint32_t saved_context = contextCursor_;
-    const bool k_ok = place(score_, seq.k, scoreCursor_, false);
-    const bool v_ok =
-        k_ok && place(context_, seq.v, contextCursor_, true);
-    if (!k_ok || !v_ok) {
-        // Roll back partial allocations.
-        for (const auto &alloc : seq.k) {
-            if (alloc.blocks)
-                releaseAlloc(score_, alloc);
-        }
-        for (const auto &alloc : seq.v) {
-            if (alloc.blocks)
-                releaseAlloc(context_, alloc);
-        }
-        scoreCursor_ = saved_score;
-        contextCursor_ = saved_context;
+    // Plan both rings read-only; commit only when both fit, so a
+    // failed admission touches no pool state. The plan replays the
+    // allocating walk exactly: committing a head leaves at least the
+    // reserve free (free - need >= ceil(threshold * capacity)), so
+    // applyThreshold never marks a core full mid-walk, and the
+    // per-core tally of planned blocks stands in for the free counts
+    // the allocating walk would have decremented.
+    std::uint32_t score_cursor = scoreCursor_;
+    std::uint32_t context_cursor = contextCursor_;
+    if (!planRing(score_, need, seq.k, score_cursor) ||
+        !planRing(context_, need, seq.v, context_cursor)) {
+        failedNeed_ = need;
+        failedEpoch_ = capacityEpoch_;
         return kNilSlot;
     }
+    commitRing(score_, seq.k, need, initial_tokens, false);
+    commitRing(context_, seq.v, need, initial_tokens, true);
+    scoreCursor_ = score_cursor;
+    contextCursor_ = context_cursor;
+    ++capacityEpoch_;
 
     std::uint32_t slot;
     if (!freeSlots_.empty()) {
@@ -506,6 +546,7 @@ BlockKvManager::releaseSlot(std::uint32_t slot)
         releaseAlloc(context_, alloc);
     unlinkMru(slot);
     index_.erase(seq.seqId);
+    ++capacityEpoch_; // freed blocks may let a failed admission fit
     seq.k.clear();
     seq.v.clear();
     seq.live = false;
@@ -586,13 +627,11 @@ BlockKvManager::dropCore(CoreCoord coord)
         for (auto &core : ring) {
             if (!(core.info.coord == coord))
                 continue;
-            std::uint32_t stranded = 0;
-            for (auto &f : core.freePerXbar) {
-                stranded += f;
-                f = 0;
-            }
+            totalBlocks_ -= core.freeBlocks;
+            std::fill(core.freePerXbar.begin(), core.freePerXbar.end(),
+                      0u);
+            core.freeBlocks = 0;
             core.markedFull = true;
-            totalBlocks_ -= stranded;
         }
     };
     fence(score_);
@@ -617,12 +656,10 @@ BlockKvManager::adoptCore(const KvCoreInfo &info, bool score_duty)
         }
     }
     auto &ring = score_duty ? score_ : context_;
-    CoreState state;
-    state.info = info;
-    state.freePerXbar.assign(info.crossbars, info.blocksPerCrossbar);
     totalBlocks_ += static_cast<std::uint64_t>(info.crossbars) *
                     info.blocksPerCrossbar;
-    ring.push_back(std::move(state));
+    ring.push_back(CoreState::empty(info));
+    ++capacityEpoch_; // new capacity and a new ring size
     return static_cast<std::uint32_t>(ring.size() - 1);
 }
 

@@ -93,6 +93,8 @@ class KvHandle
 
     bool valid() const { return slot_ != kInvalid; }
 
+    bool operator==(const KvHandle &) const = default;
+
   private:
     friend class BlockKvManager;
     static constexpr std::uint32_t kInvalid = 0xffffffffu;
@@ -208,6 +210,8 @@ class BlockKvManager
     /**
      * V-spill count: V growth that could not stay in its preferred
      * crossbar and pays the extra partial-sum hop (Section 4.4.3).
+     * Counts committed allocations only: a failed admission is
+     * planned read-only and allocates nothing, so it spills nothing.
      */
     std::uint64_t vSpills() const { return vSpills_; }
 
@@ -238,9 +242,15 @@ class BlockKvManager
     {
         KvCoreInfo info;
         std::vector<std::uint32_t> freePerXbar; ///< blocks free
+        /** Sum of freePerXbar, kept in step by every writer: the
+         *  admission walk and the grow fit check read it per probe. */
+        std::uint32_t freeBlocks = 0;
         bool markedFull = false;
 
-        std::uint32_t totalFree() const;
+        std::uint32_t totalFree() const { return freeBlocks; }
+
+        /** An empty core: every crossbar's blocks free. */
+        static CoreState empty(const KvCoreInfo &info);
     };
 
     /** Blocks one (sequence, head) holds on its K or V core. */
@@ -286,6 +296,15 @@ class BlockKvManager
     std::uint64_t admissions_ = 0;
     std::uint64_t vSpills_ = 0;
 
+    /** Bumped by every change that can make a failed admission fit
+     *  (release, adoptCore, successful admission); see tryAdmitOnce
+     *  for why nothing else needs to bump it. */
+    std::uint64_t capacityEpoch_ = 0;
+    /** Last failed admission: block need (0 = none; a need is always
+     *  >= 1) and the epoch it failed at. */
+    std::uint32_t failedNeed_ = 0;
+    std::uint64_t failedEpoch_ = 0;
+
     /** Slot storage: stable while resident, recycled after release. */
     std::vector<SequenceState> slots_;
     std::vector<std::uint32_t> freeSlots_;
@@ -310,9 +329,24 @@ class BlockKvManager
     void linkMru(std::uint32_t slot);
     void unlinkMru(std::uint32_t slot);
 
-    /** Returns the new slot on success, kNilSlot when it won't fit. */
+    /** Returns the new slot on success, kNilSlot when it won't fit.
+     *  Plans both rings read-only, then commits; a repeat of the
+     *  last failure (same need, same capacity epoch) is O(1). */
     std::uint32_t tryAdmitOnce(std::uint64_t seq_id,
                                std::uint64_t initial_tokens);
+
+    /** Walk @p ring from @p cursor, choosing a core for every entry
+     *  of @p allocs (need blocks each) without touching the pool.
+     *  Advances @p cursor as the walk did; false if a head found no
+     *  core within the probe bound. */
+    bool planRing(const std::vector<CoreState> &ring,
+                  std::uint32_t need, std::vector<HeadAlloc> &allocs,
+                  std::uint32_t &cursor) const;
+
+    /** Allocate a planned ring's blocks, head by head. */
+    void commitRing(std::vector<CoreState> &ring,
+                    std::vector<HeadAlloc> &allocs, std::uint32_t need,
+                    std::uint64_t initial_tokens, bool is_v);
 
     /** Allocate @p blocks on a ring core; kind selects K/V policy. */
     bool allocBlocks(CoreState &core, HeadAlloc &alloc,

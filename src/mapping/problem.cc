@@ -285,6 +285,15 @@ void
 MappingProblem::buildDistanceTable()
 {
     const std::size_t c = candidates_.size();
+    // Each candidate's die, once: the c^2 loops below compare these
+    // instead of re-deriving both dies per pair through penalty(),
+    // which is the same sameDie ? 1.0 : costInter_ choice.
+    std::vector<DieCoord> dies(c);
+    for (std::size_t a = 0; a < c; ++a)
+        dies[a] = geom_.dieOf(candidates_[a]);
+    const auto pen = [&](std::size_t a, std::size_t b) {
+        return dies[a] == dies[b] ? 1.0 : costInter_;
+    };
     if (engine_.fusedCost) {
         // Fused engine: ONE row-major dist*pen product table - half
         // the table bytes the exact engine streams per term. Each
@@ -296,7 +305,7 @@ MappingProblem::buildDistanceTable()
             for (std::size_t b = 0; b < c; ++b) {
                 fusedTable_[a * c + b] =
                     geom_.manhattan(candidates_[a], candidates_[b]) *
-                    penalty(candidates_[a], candidates_[b]);
+                    pen(a, b);
             }
         }
         hasFusedTable_ = true;
@@ -308,8 +317,7 @@ MappingProblem::buildDistanceTable()
         for (std::size_t b = 0; b < c; ++b) {
             distTable_[a * c + b] =
                 geom_.manhattan(candidates_[a], candidates_[b]);
-            penTable_[a * c + b] =
-                penalty(candidates_[a], candidates_[b]);
+            penTable_[a * c + b] = pen(a, b);
         }
     }
     hasTable_ = true;

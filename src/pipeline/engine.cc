@@ -91,6 +91,39 @@ ringBefore(double a_ready, std::uint64_t a_seq, double b_ready,
     return a_seq < b_seq;
 }
 
+/**
+ * Reject requests the engine would otherwise turn into fake work: a
+ * request with neither prompt nor output tokens (it has nothing to
+ * run, yet would be scheduled as if it held a KV block), and a
+ * repeated id (residency in the KV manager is keyed by id). Ids
+ * arrive ascending from every generator, so the common case is one
+ * pass; anything else is checked through a sorted copy.
+ */
+void
+checkRequests(const Workload &workload)
+{
+    const std::vector<Request> &requests = workload.requests;
+    bool ascending = true;
+    for (std::size_t i = 0; i < requests.size(); ++i) {
+        const Request &r = requests[i];
+        if (r.prefillLen == 0 && r.decodeLen == 0) {
+            fatal("runPipeline: request ", r.id,
+                  " has no prompt and no output tokens");
+        }
+        ascending = ascending && (i == 0 || requests[i - 1].id < r.id);
+    }
+    if (ascending)
+        return;
+    std::vector<std::uint64_t> ids;
+    ids.reserve(requests.size());
+    for (const Request &r : requests)
+        ids.push_back(r.id);
+    std::sort(ids.begin(), ids.end());
+    const auto dup = std::adjacent_find(ids.begin(), ids.end());
+    if (dup != ids.end())
+        fatal("runPipeline: duplicate request id ", *dup);
+}
+
 } // namespace
 
 PipelineStats &
@@ -214,6 +247,7 @@ runPipeline(const Workload &workload, const ModelConfig &model,
             const StageTiming &timing, BlockKvManager &kv,
             const PipelineOptions &opts)
 {
+    checkRequests(workload);
     PipelineStats stats;
 
     const auto blocks = static_cast<double>(model.numBlocks);

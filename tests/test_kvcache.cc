@@ -7,8 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 
+#include "common/rng.hh"
 #include "kvcache/manager.hh"
 #include "model/llm.hh"
 
@@ -440,6 +442,179 @@ TEST(KvManager, AdoptCoreRejectsLiveDuplicate)
                  "already live in the pool");
     EXPECT_DEATH({ mgr.adoptCore({{1, 2}, 4, 8}, false); },
                  "already live in the pool");
+}
+
+/** Everything observable about @p mgr, placements of @p ids
+ *  included: two managers in lockstep must agree on all of it. */
+std::vector<std::uint64_t>
+kvView(const BlockKvManager &mgr, const std::vector<std::uint64_t> &ids)
+{
+    std::vector<std::uint64_t> view = {
+        mgr.usedBlocks(),      mgr.totalBlocks(), mgr.evictionCount(),
+        mgr.admissionCount(), mgr.vSpills(),     mgr.numResident()};
+    for (const std::uint64_t id : ids) {
+        for (std::uint32_t h = 0; h < 4; ++h) {
+            const HeadPlacement p = mgr.headPlacement(id, h);
+            view.push_back(p.scoreCore);
+            view.push_back(p.contextCore);
+        }
+    }
+    return view;
+}
+
+TEST(KvAdmissionMemo, LockstepTwinsIgnoreExtraFailedAdmissions)
+{
+    // Three managers take one random op sequence. `b` also gets extra
+    // admissions that fail - repeats of a failed need under fresh
+    // ids, and oversized requests - which must leave every later
+    // result unchanged. `c` skips the sequence's failed admissions
+    // (its evicting admits always end in success), so it never holds
+    // a current memoized failure: a copy of it makes a fresh, full
+    // admission plan over the same pool state, and every failure `a`
+    // reports (memoized or not) must match that plan.
+    const ModelConfig cfg = kvModel();
+    const std::vector<KvCoreInfo> score = pool(8, 4, 8, 0);
+    const std::vector<KvCoreInfo> context = pool(8, 2, 8, 1);
+    BlockKvManager a(cfg, score, context);
+    BlockKvManager b(cfg, score, context);
+    BlockKvManager c(cfg, score, context);
+
+    // Live (not yet dropped) core coordinates per ring. dropCore
+    // keeps at least one per head, so an emptied pool fits any
+    // request below and the evicting admit() always succeeds.
+    std::vector<CoreCoord> live_score, live_context;
+    for (const KvCoreInfo &info : score)
+        live_score.push_back(info.coord);
+    for (const KvCoreInfo &info : context)
+        live_context.push_back(info.coord);
+
+    const std::vector<std::uint64_t> tokens_choices = {1,   64,  128,
+                                                       129, 256, 300};
+    Rng rng(20261017);
+    std::vector<std::uint64_t> live;
+    std::uint64_t next_id = 1;
+    std::uint64_t extra_id = std::uint64_t{1} << 40;
+    std::uint32_t next_col = 100;
+    std::uint64_t failures = 0;
+    std::uint64_t repeats = 0; // failures with no capacity change since
+    std::uint64_t last_failed_need = 0; // 0: capacity changed since
+
+    const auto pick = [&](const auto &v) {
+        return v[rng.uniformInt(0, v.size() - 1)];
+    };
+    const auto forget = [&](const std::vector<std::uint64_t> &gone) {
+        for (const std::uint64_t id : gone)
+            live.erase(std::find(live.begin(), live.end(), id));
+    };
+    const auto same_result = [](const KvResult &x, const KvResult &y) {
+        return x.ok == y.ok && x.evicted == y.evicted;
+    };
+
+    for (int step = 0; step < 4000 && !HasFailure(); ++step) {
+        const std::uint64_t roll = rng.uniformInt(0, 99);
+        if (roll < 40 || live.empty()) {
+            const std::uint64_t tokens = pick(tokens_choices);
+            const std::uint64_t id = next_id++;
+            const KvHandle ha = a.admitNoEvictHandle(id, tokens);
+            EXPECT_EQ(ha, b.admitNoEvictHandle(id, tokens));
+            if (ha.valid()) {
+                EXPECT_EQ(ha, c.admitNoEvictHandle(id, tokens));
+                live.push_back(id);
+                last_failed_need = 0;
+            } else {
+                const std::uint64_t need = (tokens + 127) / 128;
+                ++failures;
+                repeats += need == last_failed_need;
+                last_failed_need = need;
+                BlockKvManager fresh = c;
+                EXPECT_FALSE(fresh.admitNoEvictHandle(id, tokens).valid());
+                for (auto n = rng.uniformInt(1, 3); n > 0; --n) {
+                    EXPECT_FALSE(b.admitNoEvictHandle(extra_id++, tokens)
+                                         .valid());
+                }
+            }
+        } else if (roll < 45) {
+            const std::uint64_t tokens = pick(tokens_choices);
+            const std::uint64_t id = next_id++;
+            const KvResult ra = a.admit(id, tokens);
+            ASSERT_TRUE(ra.ok);
+            EXPECT_TRUE(same_result(ra, b.admit(id, tokens)));
+            EXPECT_TRUE(same_result(ra, c.admit(id, tokens)));
+            forget(ra.evicted);
+            live.push_back(id);
+            last_failed_need = 0;
+        } else if (roll < 70) {
+            const std::uint64_t id = pick(live);
+            const KvResult ra = a.grow(a.handleOf(id));
+            EXPECT_TRUE(same_result(ra, b.grow(id)));
+            EXPECT_TRUE(same_result(ra, c.grow(id)));
+            forget(ra.evicted);
+            if (!ra.evicted.empty())
+                last_failed_need = 0;
+            if (!ra.ok) {
+                // The engine's answer to a lone grower: release it.
+                a.release(id);
+                b.release(id);
+                c.release(id);
+                forget({id});
+                last_failed_need = 0;
+            }
+        } else if (roll < 80) {
+            const std::uint64_t id = pick(live);
+            const std::uint64_t room = a.growRoom(id);
+            EXPECT_EQ(room, b.growRoom(id));
+            EXPECT_EQ(room, c.growRoom(id));
+            if (room > 0) {
+                const std::uint64_t n = rng.uniformInt(1, room);
+                a.growFast(id, n);
+                b.growFast(b.handleOf(id), n);
+                c.growFast(id, n);
+            }
+        } else if (roll < 92) {
+            const std::uint64_t id = pick(live);
+            a.release(a.handleOf(id));
+            b.release(id);
+            c.release(id);
+            forget({id});
+            last_failed_need = 0;
+        } else if (roll < 95) {
+            auto &ring = rng.uniformInt(0, 1) ? live_score : live_context;
+            if (ring.size() <= cfg.numKvHeads)
+                continue;
+            const std::size_t at = rng.uniformInt(0, ring.size() - 1);
+            const CoreCoord coord = ring[at];
+            ring.erase(ring.begin() + static_cast<std::ptrdiff_t>(at));
+            const std::vector<std::uint64_t> lost = a.dropCore(coord);
+            EXPECT_EQ(lost, b.dropCore(coord));
+            EXPECT_EQ(lost, c.dropCore(coord));
+            forget(lost);
+            if (!lost.empty())
+                last_failed_need = 0;
+        } else if (roll < 97) {
+            const bool duty = rng.uniformInt(0, 1) == 1;
+            const KvCoreInfo info{{duty ? 0u : 1u, next_col++},
+                                  duty ? 4u : 2u, 8};
+            const std::uint32_t index = a.adoptCore(info, duty);
+            EXPECT_EQ(index, b.adoptCore(info, duty));
+            EXPECT_EQ(index, c.adoptCore(info, duty));
+            (duty ? live_score : live_context).push_back(info.coord);
+            last_failed_need = 0;
+        } else {
+            // An oversized request fails on every pool state; on `b`
+            // alone it also replaces the memoized need.
+            EXPECT_FALSE(b.admitNoEvictHandle(extra_id++, 1u << 16)
+                                 .valid());
+        }
+        const std::vector<std::uint64_t> view = kvView(a, live);
+        EXPECT_EQ(view, kvView(b, live)) << "step " << step;
+        EXPECT_EQ(view, kvView(c, live)) << "step " << step;
+    }
+    // The sequence must actually saturate the pool and retry failed
+    // needs with no capacity change in between (the memo's case).
+    EXPECT_GT(failures, 200u);
+    EXPECT_GT(repeats, 100u);
+    EXPECT_GT(a.evictionCount(), 0u);
+    EXPECT_GT(a.vSpills(), 0u);
 }
 
 /** Property: admit/release round-trips leave zero residue. */

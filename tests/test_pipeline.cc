@@ -9,11 +9,19 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <optional>
+#include <type_traits>
+
+#include "common/logging.hh"
 #include "kvcache/manager.hh"
 #include "model/llm.hh"
 #include "pipeline/engine.hh"
 #include "pipeline/timing.hh"
 #include "pipeline/timing_cache.hh"
+#include "sim/fleet.hh"
+#include "sim/storm_run.hh"
+#include "sim/system.hh"
 #include "workload/requests.hh"
 
 namespace ouro
@@ -563,6 +571,51 @@ TEST(Pipeline, SkippedRequestsCounted)
     EXPECT_EQ(kv.numResident(), 0u);
 }
 
+TEST(Pipeline, EmptyRequestRejected)
+{
+    // A request with no prompt and no output has nothing to run; the
+    // engine must name it instead of scheduling phantom work.
+    const ModelConfig cfg = pipeModel();
+    Workload w;
+    w.name = "empty";
+    w.requests.push_back({0, 64, 16});
+    w.requests.push_back({7, 0, 0});
+    EXPECT_DEATH(
+            {
+                BlockKvManager kv = bigKv(cfg);
+                runPipeline(w, cfg, uniformTiming(), kv);
+            },
+            "request 7 has no prompt and no output tokens");
+}
+
+TEST(Pipeline, DuplicateRequestIdRejected)
+{
+    // Residency is keyed by id: a repeated id must be rejected at
+    // entry, whether or not the ids arrive in ascending order.
+    const ModelConfig cfg = pipeModel();
+    Workload adjacent;
+    adjacent.requests = {{3, 64, 16}, {3, 32, 8}};
+    Workload scattered;
+    scattered.requests = {{9, 64, 16}, {4, 32, 8}, {9, 16, 4}};
+    for (const Workload *w : {&adjacent, &scattered}) {
+        const std::uint64_t id = w->requests.front().id;
+        EXPECT_DEATH(
+                {
+                    BlockKvManager kv = bigKv(cfg);
+                    runPipeline(*w, cfg, uniformTiming(), kv);
+                },
+                "duplicate request id " + std::to_string(id));
+    }
+    // Unordered but distinct ids are fine.
+    Workload shuffled;
+    shuffled.requests = {{5, 64, 16}, {2, 32, 8}, {9, 16, 4}};
+    BlockKvManager kv = bigKv(cfg);
+    const PipelineStats stats =
+        runPipeline(shuffled, cfg, uniformTiming(), kv);
+    EXPECT_EQ(stats.outputTokens, 16u + 8u + 4u);
+    EXPECT_EQ(stats.skippedRequests, 0u);
+}
+
 TEST(Pipeline, EvictionAccountingExact)
 {
     // Regression for the eviction-requeue path: a stale heap entry
@@ -879,6 +932,175 @@ TEST(StatsMerge, ConcurrentMismatchedBinWidthDies)
     b.outputTokenBins = {3};
     EXPECT_DEATH({ a.mergeConcurrent(b); },
                  "equal throughputBinSeconds");
+}
+
+// ---- Saturated-regime goldens ---------------------------------------
+//
+// Field-complete hashes of runs where the wait queue stays non-empty
+// and the KV pool stays full, so the admission retry loop, MRU
+// eviction and re-prefill all run thousands of times. The values were
+// captured before admission planning became read-only and memoized;
+// any change to what a failed or successful admission does shows up
+// here as a different hash.
+
+/** FNV-1a over every PipelineStats field, doubles by bit pattern,
+ *  samples and bins included. */
+class StatsHash
+{
+  public:
+    StatsHash &u64(std::uint64_t v)
+    {
+        for (int i = 0; i < 8; ++i) {
+            h_ ^= (v >> (8 * i)) & 0xffu;
+            h_ *= 0x100000001b3ULL;
+        }
+        return *this;
+    }
+    StatsHash &f64(double v)
+    {
+        std::uint64_t bits;
+        std::memcpy(&bits, &v, sizeof bits);
+        return u64(bits);
+    }
+    template <typename T>
+    StatsHash &vec(const std::vector<T> &v)
+    {
+        u64(v.size());
+        for (const T x : v) {
+            if constexpr (std::is_floating_point_v<T>)
+                f64(x);
+            else
+                u64(x);
+        }
+        return *this;
+    }
+    StatsHash &stats(const PipelineStats &s)
+    {
+        f64(s.makespanSeconds).u64(s.tokensProcessed);
+        u64(s.outputTokens).f64(s.bottleneckBusySeconds);
+        f64(s.utilization).f64(s.bubbleFraction).u64(s.evictions);
+        u64(s.recomputedTokens).u64(s.stormEvictions);
+        u64(s.stormReprefilledTokens).u64(s.skippedRequests);
+        f64(s.peakConcurrency).f64(s.avgContext);
+        u64(s.timingCacheHits).u64(s.timingCacheMisses);
+        u64(s.itemsProcessed).f64(s.contextTokensSum);
+        f64(s.stageBusySumSeconds);
+        vec(s.ttftSamples).vec(s.interTokenSamples);
+        vec(s.outputTokenBins).f64(s.throughputBinSeconds);
+        return *this;
+    }
+    std::uint64_t value() const { return h_; }
+
+  private:
+    std::uint64_t h_ = 0xcbf29ce484222325ULL;
+};
+
+constexpr std::uint64_t kGoldenSeed = 20261017;
+
+/** One llama13b deployment shared by every golden. */
+const OuroborosSystem &
+goldenSystem()
+{
+    static const std::optional<OuroborosSystem> sys = [] {
+        OuroborosOptions opts;
+        opts.smartMapping = false;
+        opts.seed = 11;
+        return OuroborosSystem::build(llama13b(), {}, opts);
+    }();
+    ouroAssert(sys.has_value(), "golden llama13b system must build");
+    return *sys;
+}
+
+/** One wafer serving wikiText2Like(@p requests) the way
+ *  OuroborosSystem::run configures its engine. */
+PipelineStats
+saturatedRun(std::size_t requests, bool cohort, bool static_kv)
+{
+    const OuroborosSystem &sys = goldenSystem();
+    BlockKvManager kv(sys.model(), sys.scorePool(), sys.contextPool(),
+                      128, sys.options().kvThreshold);
+    PipelineOptions popts;
+    popts.attentionParallelism = 16.0;
+    popts.cohortFastPath = cohort;
+    popts.staticKvAllocation = static_kv;
+    popts.maxContext = sys.model().maxContext;
+    const Workload w = wikiText2Like(requests, 2048, kGoldenSeed);
+    const PipelineStats s =
+        runPipeline(w, sys.model(), sys.stageTiming(), kv, popts);
+    // The goldens only mean something in the saturated regime.
+    EXPECT_LT(s.peakConcurrency, static_cast<double>(requests));
+    EXPECT_EQ(kv.numResident(), 0u);
+    return s;
+}
+
+std::uint64_t
+hashOf(const PipelineStats &s)
+{
+    return StatsHash().stats(s).value();
+}
+
+TEST(SaturatedGolden, WikiText1024CohortOnAndOff)
+{
+    constexpr std::uint64_t kGolden = 0x0623dc31217de3feULL;
+    const PipelineStats on = saturatedRun(1024, true, false);
+    EXPECT_GT(on.evictions, 0u);
+    EXPECT_EQ(hashOf(on), kGolden);
+    EXPECT_EQ(hashOf(saturatedRun(1024, false, false)), kGolden);
+}
+
+TEST(SaturatedGolden, WikiText2048CohortOnAndOff)
+{
+    constexpr std::uint64_t kGolden = 0x106b778c1c6299e9ULL;
+    const PipelineStats on = saturatedRun(2048, true, false);
+    EXPECT_GT(on.evictions, 0u);
+    EXPECT_EQ(hashOf(on), kGolden);
+    EXPECT_EQ(hashOf(saturatedRun(2048, false, false)), kGolden);
+}
+
+TEST(SaturatedGolden, StaticKvAllocation)
+{
+    constexpr std::uint64_t kGolden = 0xa4bc20cf349a1408ULL;
+    EXPECT_EQ(hashOf(saturatedRun(512, true, true)), kGolden);
+}
+
+TEST(SaturatedGolden, StormSchedule)
+{
+    constexpr std::uint64_t kGolden = 0x9f627fbfba433884ULL;
+    const OuroborosSystem &sys = goldenSystem();
+    const Workload w = wikiText2Like(384, 2048, kGoldenSeed);
+    StormServingOptions sopts;
+    sopts.throughputBinSeconds = 0.01;
+    sopts.injector.failures = 16;
+    sopts.injector.stormStart = 0.05;
+    sopts.injector.stormDuration = 0.1;
+    sopts.injector.seed = 42;
+    const StormServingResult r = runStormServing(sys, w, sopts);
+    EXPECT_GT(r.stats.stormEvictions, 0u);
+    EXPECT_GT(r.stats.evictions, 0u);
+    EXPECT_EQ(hashOf(r.stats), kGolden);
+}
+
+TEST(SaturatedGolden, FourWaferFleet)
+{
+    constexpr std::uint64_t kGolden = 0xdaad7d0d439a6bb4ULL;
+    const OuroborosSystem &sys = goldenSystem();
+    const Workload w = wikiText2Like(2048, 2048, kGoldenSeed);
+    FleetOptions fo;
+    fo.numWafers = 4;
+    fo.stormWafer = 1;
+    fo.injector.failures = 8;
+    fo.injector.stormStart = 0.05;
+    fo.injector.stormDuration = 0.1;
+    fo.injector.seed = 7;
+    fo.throughputBinSeconds = 0.01;
+    const FleetResult r = runFleetServing(sys, w, fo);
+    StatsHash h;
+    h.vec(r.assignment).stats(r.fleet);
+    for (const PipelineStats &s : r.wafers) {
+        EXPECT_GT(s.evictions, 0u);
+        h.stats(s);
+    }
+    EXPECT_EQ(h.value(), kGolden);
 }
 
 } // namespace
