@@ -1,6 +1,7 @@
 #include "manager.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "common/logging.hh"
@@ -8,14 +9,87 @@
 namespace ouro
 {
 
+namespace
+{
+
+/** Mask of the first @p crossbars crossbars. */
+std::uint64_t
+allXbars(std::uint32_t crossbars)
+{
+    return crossbars >= 64 ? ~std::uint64_t{0}
+                           : (std::uint64_t{1} << crossbars) - 1;
+}
+
+} // namespace
+
 BlockKvManager::CoreState
 BlockKvManager::CoreState::empty(const KvCoreInfo &info)
 {
+    if (info.crossbars > kMaxCrossbars) {
+        fatal("BlockKvManager: KV core (", info.coord.row, ",",
+              info.coord.col, ") has ", info.crossbars,
+              " crossbars; at most ", kMaxCrossbars,
+              " per core are supported");
+    }
     CoreState state;
     state.info = info;
     state.freePerXbar.assign(info.crossbars, info.blocksPerCrossbar);
+    state.levels.assign(info.blocksPerCrossbar + 1, 0);
+    state.levels[info.blocksPerCrossbar] = allXbars(info.crossbars);
+    state.topLevel = info.crossbars > 0 ? info.blocksPerCrossbar : 0;
     state.freeBlocks = info.crossbars * info.blocksPerCrossbar;
     return state;
+}
+
+std::uint32_t
+BlockKvManager::CoreState::emptiestXbar() const
+{
+    return static_cast<std::uint32_t>(std::countr_zero(levels[topLevel]));
+}
+
+std::uint32_t
+BlockKvManager::CoreState::firstFreeXbar() const
+{
+    // Bits past the last crossbar are clear in levels[0], so they are
+    // set here - but a real crossbar with a free block sorts first.
+    return static_cast<std::uint32_t>(std::countr_zero(~levels[0]));
+}
+
+void
+BlockKvManager::CoreState::take(std::uint32_t x)
+{
+    const std::uint32_t f = freePerXbar[x];
+    const std::uint64_t bit = std::uint64_t{1} << x;
+    levels[f] &= ~bit;
+    levels[f - 1] |= bit;
+    freePerXbar[x] = f - 1;
+    --freeBlocks;
+    if (f == topLevel && levels[f] == 0)
+        topLevel = f - 1; // x itself now sits on level f - 1
+}
+
+void
+BlockKvManager::CoreState::give(std::uint32_t x, std::uint32_t n)
+{
+    const std::uint32_t f = freePerXbar[x];
+    ouroAssert(f + n <= info.blocksPerCrossbar,
+               "BlockKvManager: double free");
+    const std::uint64_t bit = std::uint64_t{1} << x;
+    levels[f] &= ~bit;
+    levels[f + n] |= bit;
+    freePerXbar[x] = f + n;
+    freeBlocks += n;
+    topLevel = std::max(topLevel, f + n);
+}
+
+void
+BlockKvManager::CoreState::fence()
+{
+    std::fill(freePerXbar.begin(), freePerXbar.end(), 0u);
+    std::fill(levels.begin(), levels.end(), std::uint64_t{0});
+    levels[0] = allXbars(info.crossbars);
+    topLevel = 0;
+    freeBlocks = 0;
 }
 
 BlockKvManager::BlockKvManager(const ModelConfig &model,
@@ -23,11 +97,12 @@ BlockKvManager::BlockKvManager(const ModelConfig &model,
                                std::vector<KvCoreInfo> context_cores,
                                std::uint32_t tokens_per_block,
                                double threshold)
-    : model_(model), tokensPerBlock_(tokens_per_block),
-      threshold_(threshold)
+    : heads_(static_cast<std::uint32_t>(model.numKvHeads)),
+      tokensPerBlock_(tokens_per_block), threshold_(threshold)
 {
     ouroAssert(!score_cores.empty() && !context_cores.empty(),
                "BlockKvManager: empty KV core pool");
+    ouroAssert(heads_ > 0, "BlockKvManager: model has no KV heads");
     ouroAssert(tokens_per_block > 0, "BlockKvManager: zero block size");
     ouroAssert(threshold >= 0.0 && threshold < 1.0,
                "BlockKvManager: threshold out of [0,1)");
@@ -41,6 +116,14 @@ BlockKvManager::BlockKvManager(const ModelConfig &model,
                         info.blocksPerCrossbar;
         context_.push_back(CoreState::empty(info));
     }
+    plan_.resize(2 * static_cast<std::size_t>(heads_));
+    sizeScratch();
+}
+
+void
+BlockKvManager::sizeScratch()
+{
+    demand_.resize(std::max(score_.size(), context_.size()), 0);
 }
 
 std::uint32_t
@@ -52,81 +135,30 @@ BlockKvManager::blocksFor(std::uint64_t tokens) const
             ceilDiv(tokens, tokensPerBlock_));
 }
 
-bool
-BlockKvManager::allocBlocks(CoreState &core, HeadAlloc &alloc,
-                            std::uint32_t blocks, bool is_v)
+std::uint8_t
+BlockKvManager::takeBlock(CoreState &core, bool is_v, bool first)
 {
-    if (core.totalFree() < blocks)
-        return false;
-    for (std::uint32_t n = 0; n < blocks; ++n) {
-        std::uint32_t chosen = core.info.crossbars;
-        if (is_v) {
-            // V prefers its home crossbar (single-pass accumulation);
-            // spilling to another crossbar costs an extra partial-sum
-            // merge, which we count.
-            if (core.freePerXbar[alloc.homeXbar] > 0) {
-                chosen = alloc.homeXbar;
-            } else {
-                for (std::uint32_t x = 0; x < core.info.crossbars;
-                     ++x) {
-                    if (core.freePerXbar[x] > 0) {
-                        chosen = x;
-                        break;
-                    }
-                }
-                if (alloc.blocks + n > 0)
-                    ++vSpills_;
-            }
-        } else {
-            // K grows along output channels: any crossbar works; pick
-            // the emptiest to keep write pressure spread.
-            std::uint32_t best_free = 0;
-            for (std::uint32_t x = 0; x < core.info.crossbars; ++x) {
-                if (core.freePerXbar[x] > best_free) {
-                    best_free = core.freePerXbar[x];
-                    chosen = x;
-                }
-            }
-        }
-        ouroAssert(chosen < core.info.crossbars,
-                   "allocBlocks: no free crossbar despite free count");
-        --core.freePerXbar[chosen];
-        --core.freeBlocks;
-        ++usedBlocks_;
-        // Record ownership for release accounting.
-        bool merged = false;
-        for (auto &[xbar, count] : alloc.perXbar) {
-            if (xbar == chosen) {
-                ++count;
-                merged = true;
-                break;
-            }
-        }
-        if (!merged)
-            alloc.perXbar.emplace_back(chosen, 1);
+    ouroAssert(core.totalFree() > 0, "takeBlock: core has no free block");
+    std::uint32_t chosen;
+    if (!is_v) {
+        // K grows along output channels: any crossbar works; pick the
+        // emptiest to keep write pressure spread.
+        chosen = core.emptiestXbar();
+    } else if (core.freePerXbar[kHomeXbar] > 0) {
+        // V prefers its home crossbar (single-pass accumulation).
+        chosen = kHomeXbar;
+    } else {
+        // Spilling to another crossbar costs an extra partial-sum
+        // merge, which we count.
+        chosen = core.firstFreeXbar();
+        if (!first)
+            ++vSpills_;
     }
-    alloc.blocks += blocks;
-    return true;
-}
-
-void
-BlockKvManager::releaseAlloc(std::vector<CoreState> &ring,
-                             const HeadAlloc &alloc)
-{
-    CoreState &core = ring[alloc.core];
-    for (const auto &[xbar, count] : alloc.perXbar) {
-        core.freePerXbar[xbar] += count;
-        core.freeBlocks += count;
-        ouroAssert(core.freePerXbar[xbar] <=
-                   core.info.blocksPerCrossbar,
-                   "releaseAlloc: double free");
-        usedBlocks_ -= count;
-    }
-    // Freed space may clear the full mark.
-    const double capacity = static_cast<double>(core.info.crossbars) *
-                            core.info.blocksPerCrossbar;
-    if (core.totalFree() > threshold_ * capacity)
-        core.markedFull = false;
+    ouroAssert(chosen < core.info.crossbars,
+               "takeBlock: no free crossbar despite free count");
+    core.take(chosen);
+    ++usedBlocks_;
+    return static_cast<std::uint8_t>(chosen);
 }
 
 void
@@ -136,6 +168,15 @@ BlockKvManager::applyThreshold(CoreState &core)
                             core.info.blocksPerCrossbar;
     if (static_cast<double>(core.totalFree()) < threshold_ * capacity)
         core.markedFull = true;
+}
+
+void
+BlockKvManager::clearThreshold(CoreState &core)
+{
+    const double capacity = static_cast<double>(core.info.crossbars) *
+                            core.info.blocksPerCrossbar;
+    if (core.totalFree() > threshold_ * capacity)
+        core.markedFull = false;
 }
 
 BlockKvManager::SequenceState &
@@ -189,11 +230,10 @@ BlockKvManager::unlinkMru(std::uint32_t slot)
 
 bool
 BlockKvManager::planRing(const std::vector<CoreState> &ring,
-                         std::uint32_t need,
-                         std::vector<HeadAlloc> &allocs,
+                         std::uint32_t need, std::uint32_t *cores,
                          std::uint32_t &cursor) const
 {
-    const auto heads = static_cast<std::uint32_t>(allocs.size());
+    const std::uint32_t heads = heads_;
     const auto ring_size = static_cast<std::uint32_t>(ring.size());
     std::uint32_t placed = 0;
     std::uint32_t probe = cursor;
@@ -219,10 +259,10 @@ BlockKvManager::planRing(const std::vector<CoreState> &ring,
         std::uint32_t planned = 0;
         if (probes > ring_size) {
             for (std::uint32_t h = 0; h < placed; ++h)
-                planned += allocs[h].core == index ? need : 0;
+                planned += cores[h] == index ? need : 0;
         }
         if (core.totalFree() >= planned + need + reserve)
-            allocs[placed++].core = index;
+            cores[placed++] = index;
     }
     cursor = probe % ring_size;
     return placed == heads;
@@ -230,20 +270,19 @@ BlockKvManager::planRing(const std::vector<CoreState> &ring,
 
 void
 BlockKvManager::commitRing(std::vector<CoreState> &ring,
-                           std::vector<HeadAlloc> &allocs,
-                           std::uint32_t need,
-                           std::uint64_t initial_tokens, bool is_v)
+                           SequenceState &seq, std::uint32_t need,
+                           bool is_v)
 {
-    for (HeadAlloc &alloc : allocs) {
-        CoreState &core = ring[alloc.core];
-        const bool ok = allocBlocks(core, alloc, need, is_v);
-        ouroAssert(ok, "tryAdmitOnce: planned alloc failed");
-        alloc.lastBlockFill = static_cast<std::uint32_t>(
-                initial_tokens == 0
-                    ? 0
-                    : initial_tokens -
-                      (static_cast<std::uint64_t>(need) - 1) *
-                      tokensPerBlock_);
+    const std::uint32_t stride = 2 * heads_;
+    const std::uint32_t base = is_v ? heads_ : 0;
+    for (std::uint32_t h = base; h < base + heads_; ++h) {
+        CoreState &core = ring[seq.cores[h]];
+        ouroAssert(core.totalFree() >= need,
+                   "tryAdmitOnce: planned alloc failed");
+        for (std::uint32_t b = 0; b < need; ++b) {
+            seq.xbars[static_cast<std::size_t>(b) * stride + h] =
+                takeBlock(core, is_v, b == 0);
+        }
         applyThreshold(core);
     }
 }
@@ -252,7 +291,6 @@ std::uint32_t
 BlockKvManager::tryAdmitOnce(std::uint64_t seq_id,
                              std::uint64_t initial_tokens)
 {
-    const auto heads = static_cast<std::uint32_t>(model_.numKvHeads);
     const std::uint32_t need = blocksFor(initial_tokens);
 
     // Why the memo is exact. Whether an admission fits is a function
@@ -281,12 +319,6 @@ BlockKvManager::tryAdmitOnce(std::uint64_t seq_id,
     if (need == failedNeed_ && capacityEpoch_ == failedEpoch_)
         return kNilSlot;
 
-    SequenceState seq;
-    seq.seqId = seq_id;
-    seq.tokens = initial_tokens;
-    seq.k.resize(heads);
-    seq.v.resize(heads);
-
     // Plan both rings read-only; commit only when both fit, so a
     // failed admission touches no pool state. The plan replays the
     // allocating walk exactly: committing a head leaves at least the
@@ -296,17 +328,17 @@ BlockKvManager::tryAdmitOnce(std::uint64_t seq_id,
     // the allocating walk would have decremented.
     std::uint32_t score_cursor = scoreCursor_;
     std::uint32_t context_cursor = contextCursor_;
-    if (!planRing(score_, need, seq.k, score_cursor) ||
-        !planRing(context_, need, seq.v, context_cursor)) {
+    if (!planRing(score_, need, plan_.data(), score_cursor) ||
+        !planRing(context_, need, plan_.data() + heads_,
+                  context_cursor)) {
         failedNeed_ = need;
         failedEpoch_ = capacityEpoch_;
         return kNilSlot;
     }
-    commitRing(score_, seq.k, need, initial_tokens, false);
-    commitRing(context_, seq.v, need, initial_tokens, true);
-    scoreCursor_ = score_cursor;
-    contextCursor_ = context_cursor;
-    ++capacityEpoch_;
+    // Only a committing admission can make a sequence resident twice,
+    // so the duplicate guard runs here rather than on every retry.
+    ouroAssert(!resident(seq_id), "BlockKvManager: sequence ", seq_id,
+               " already resident");
 
     std::uint32_t slot;
     if (!freeSlots_.empty()) {
@@ -316,9 +348,25 @@ BlockKvManager::tryAdmitOnce(std::uint64_t seq_id,
         slot = static_cast<std::uint32_t>(slots_.size());
         slots_.emplace_back();
     }
+    SequenceState &seq = slots_[slot];
+    seq.seqId = seq_id;
+    seq.tokens = initial_tokens;
+    seq.blocks = need;
+    seq.lastBlockFill = static_cast<std::uint32_t>(
+            initial_tokens == 0
+                ? 0
+                : initial_tokens -
+                  (static_cast<std::uint64_t>(need) - 1) *
+                  tokensPerBlock_);
+    seq.cores = plan_;
+    seq.xbars.resize(static_cast<std::size_t>(need) * 2 * heads_);
+    commitRing(score_, seq, need, false);
+    commitRing(context_, seq, need, true);
+    scoreCursor_ = score_cursor;
+    contextCursor_ = context_cursor;
+    ++capacityEpoch_;
+
     seq.live = true;
-    seq.stamp = slots_[slot].stamp; // keep the reuse stamp
-    slots_[slot] = std::move(seq);
     linkMru(slot);
     index_.emplace(seq_id, slot);
     ++admissions_;
@@ -366,8 +414,6 @@ KvHandle
 BlockKvManager::admitNoEvictHandle(std::uint64_t seq_id,
                                    std::uint64_t initial_tokens)
 {
-    ouroAssert(!resident(seq_id), "admitNoEvict: sequence ", seq_id,
-               " already resident");
     const std::uint32_t slot = tryAdmitOnce(seq_id, initial_tokens);
     return slot == kNilSlot ? KvHandle{}
                             : KvHandle{slot, slots_[slot].stamp};
@@ -392,14 +438,9 @@ std::uint64_t
 BlockKvManager::growRoom(KvHandle handle) const
 {
     const SequenceState &seq = slotRef(handle);
-    if (seq.k.empty() || seq.k.front().blocks == 0)
+    if (seq.blocks == 0)
         return 0;
-    std::uint32_t room = tokensPerBlock_;
-    for (const auto &alloc : seq.k)
-        room = std::min(room, tokensPerBlock_ - alloc.lastBlockFill);
-    for (const auto &alloc : seq.v)
-        room = std::min(room, tokensPerBlock_ - alloc.lastBlockFill);
-    return room;
+    return tokensPerBlock_ - seq.lastBlockFill;
 }
 
 void
@@ -412,17 +453,10 @@ void
 BlockKvManager::growFast(KvHandle handle, std::uint64_t n)
 {
     SequenceState &seq = slotRef(handle);
-    const auto count = static_cast<std::uint32_t>(n);
-    for (auto &alloc : seq.k) {
-        alloc.lastBlockFill += count;
-        ouroAssert(alloc.lastBlockFill <= tokensPerBlock_,
-                   "growFast: batch exceeds in-block room");
-    }
-    for (auto &alloc : seq.v) {
-        alloc.lastBlockFill += count;
-        ouroAssert(alloc.lastBlockFill <= tokensPerBlock_,
-                   "growFast: batch exceeds in-block room");
-    }
+    ouroAssert(seq.blocks > 0 &&
+               n <= tokensPerBlock_ - seq.lastBlockFill,
+               "growFast: batch exceeds in-block room");
+    seq.lastBlockFill += static_cast<std::uint32_t>(n);
     seq.tokens += n;
 }
 
@@ -432,65 +466,41 @@ BlockKvManager::grow(std::uint64_t seq_id)
     return grow(handleOf(seq_id));
 }
 
+bool
+BlockKvManager::ringFits(const std::vector<CoreState> &ring,
+                         const std::uint32_t *cores)
+{
+    // Several heads of the same sequence may share a core, so demand
+    // is tallied per core; the tally is zeroed again on the way out.
+    for (std::uint32_t h = 0; h < heads_; ++h)
+        ++demand_[cores[h]];
+    bool fits = true;
+    for (std::uint32_t h = 0; h < heads_; ++h)
+        fits &= ring[cores[h]].totalFree() >= demand_[cores[h]];
+    for (std::uint32_t h = 0; h < heads_; ++h)
+        demand_[cores[h]] = 0;
+    return fits;
+}
+
 KvResult
 BlockKvManager::grow(KvHandle handle)
 {
     KvResult result;
     SequenceState &seq = slotRef(handle);
 
-    // Fast path: the newest block of every head still has room.
-    if (seq.k.front().lastBlockFill < tokensPerBlock_ &&
-        seq.k.front().blocks > 0) {
-        bool all_have_room = true;
-        for (const auto &alloc : seq.k)
-            all_have_room &= alloc.lastBlockFill < tokensPerBlock_;
-        for (const auto &alloc : seq.v)
-            all_have_room &= alloc.lastBlockFill < tokensPerBlock_;
-        if (all_have_room) {
-            for (auto &alloc : seq.k)
-                ++alloc.lastBlockFill;
-            for (auto &alloc : seq.v)
-                ++alloc.lastBlockFill;
-            ++seq.tokens;
-            result.ok = true;
-            return result;
-        }
+    // Fast path: the newest block (of every head) still has room.
+    if (seq.blocks > 0 && seq.lastBlockFill < tokensPerBlock_) {
+        ++seq.lastBlockFill;
+        ++seq.tokens;
+        result.ok = true;
+        return result;
     }
 
     // Need one more block per head (K and V). Evict other residents
     // (most recent first) until it fits; never evict the grower.
-    //
-    // Several heads of the same sequence may share a core, so demand
-    // must be counted per core, not per alloc. Head counts are small
-    // (<= numKvHeads), so flat (core, count) vectors with a linear
-    // probe beat a per-call hash map.
-    std::vector<std::pair<std::uint32_t, std::uint32_t>> k_need;
-    std::vector<std::pair<std::uint32_t, std::uint32_t>> v_need;
-    k_need.reserve(seq.k.size());
-    v_need.reserve(seq.v.size());
-    auto count_core = [](std::vector<std::pair<std::uint32_t,
-                                               std::uint32_t>> &need,
-                         std::uint32_t core) {
-        for (auto &[c, n] : need) {
-            if (c == core) {
-                ++n;
-                return;
-            }
-        }
-        need.emplace_back(core, 1);
-    };
-    for (const auto &alloc : seq.k)
-        count_core(k_need, alloc.core);
-    for (const auto &alloc : seq.v)
-        count_core(v_need, alloc.core);
-    while (true) {
-        bool fits = true;
-        for (const auto &[core, need] : k_need)
-            fits &= score_[core].totalFree() >= need;
-        for (const auto &[core, need] : v_need)
-            fits &= context_[core].totalFree() >= need;
-        if (fits)
-            break;
+    const std::uint32_t *cores = seq.cores.data();
+    while (!(ringFits(score_, cores) &&
+             ringFits(context_, cores + heads_))) {
         // MRU victim other than ourselves: the list tail, or its
         // predecessor when we ARE the tail.
         std::uint32_t victim = mruTail_;
@@ -504,20 +514,23 @@ BlockKvManager::grow(KvHandle handle)
         ++evictions_;
     }
 
-    for (auto &alloc : seq.k) {
-        const bool ok = allocBlocks(score_[alloc.core], alloc, 1,
-                                    false);
-        ouroAssert(ok, "grow: K alloc failed after fit check");
-        alloc.lastBlockFill = 1;
-        applyThreshold(score_[alloc.core]);
+    const std::uint32_t stride = 2 * heads_;
+    seq.xbars.resize(seq.xbars.size() + stride);
+    std::uint8_t *row =
+        seq.xbars.data() + static_cast<std::size_t>(seq.blocks) * stride;
+    const bool first = seq.blocks == 0;
+    for (std::uint32_t h = 0; h < heads_; ++h) {
+        CoreState &core = score_[cores[h]];
+        row[h] = takeBlock(core, false, first);
+        applyThreshold(core);
     }
-    for (auto &alloc : seq.v) {
-        const bool ok = allocBlocks(context_[alloc.core], alloc, 1,
-                                    true);
-        ouroAssert(ok, "grow: V alloc failed after fit check");
-        alloc.lastBlockFill = 1;
-        applyThreshold(context_[alloc.core]);
+    for (std::uint32_t h = heads_; h < stride; ++h) {
+        CoreState &core = context_[cores[h]];
+        row[h] = takeBlock(core, true, first);
+        applyThreshold(core);
     }
+    ++seq.blocks;
+    seq.lastBlockFill = 1;
     ++seq.tokens;
     result.ok = true;
     return result;
@@ -540,15 +553,37 @@ void
 BlockKvManager::releaseSlot(std::uint32_t slot)
 {
     SequenceState &seq = slots_[slot];
-    for (const auto &alloc : seq.k)
-        releaseAlloc(score_, alloc);
-    for (const auto &alloc : seq.v)
-        releaseAlloc(context_, alloc);
+    const std::uint32_t stride = 2 * heads_;
+    for (std::uint32_t h = 0; h < stride; ++h) {
+        CoreState &core =
+            (h < heads_ ? score_ : context_)[seq.cores[h]];
+        // Return the head's blocks one crossbar run at a time (V's
+        // blocks mostly share its home crossbar).
+        std::uint32_t run_xbar = seq.xbars[h];
+        std::uint32_t run = 0;
+        for (std::uint32_t b = 0; b < seq.blocks; ++b) {
+            const std::uint32_t xbar =
+                seq.xbars[static_cast<std::size_t>(b) * stride + h];
+            if (xbar != run_xbar) {
+                core.give(run_xbar, run);
+                run_xbar = xbar;
+                run = 0;
+            }
+            ++run;
+        }
+        core.give(run_xbar, run);
+        clearThreshold(core);
+    }
+    usedBlocks_ -= static_cast<std::uint64_t>(seq.blocks) * stride;
     unlinkMru(slot);
     index_.erase(seq.seqId);
     ++capacityEpoch_; // freed blocks may let a failed admission fit
-    seq.k.clear();
-    seq.v.clear();
+    // A released slot keeps no per-head storage: peak memory follows
+    // the resident set, not every sequence the slot ever held.
+    std::vector<std::uint32_t>().swap(seq.cores);
+    std::vector<std::uint8_t>().swap(seq.xbars);
+    seq.blocks = 0;
+    seq.lastBlockFill = 0;
     seq.live = false;
     ++seq.stamp; // invalidate outstanding handles (ABA guard)
     freeSlots_.push_back(slot);
@@ -565,9 +600,8 @@ BlockKvManager::headPlacement(std::uint64_t seq_id,
                               std::uint32_t head) const
 {
     const SequenceState &seq = slotRef(handleOf(seq_id));
-    ouroAssert(head < seq.k.size(),
-               "headPlacement: head out of range");
-    return {seq.k[head].core, seq.v[head].core};
+    ouroAssert(head < heads_, "headPlacement: head out of range");
+    return {seq.cores[head], seq.cores[heads_ + head]};
 }
 
 CoreCoord
@@ -600,17 +634,16 @@ BlockKvManager::dropCore(CoreCoord coord)
     std::vector<std::uint64_t> lost;
     auto collect = [&](const std::vector<CoreState> &ring,
                        bool is_score) {
+        const std::uint32_t base = is_score ? 0 : heads_;
         for (std::uint32_t r = 0; r < ring.size(); ++r) {
             if (!(ring[r].info.coord == coord))
                 continue;
             for (const auto &[id, slot] : index_) {
-                const SequenceState &seq = slots_[slot];
-                const auto &allocs = is_score ? seq.k : seq.v;
-                for (const auto &alloc : allocs) {
-                    if (alloc.core == r) {
-                        lost.push_back(id);
-                        break;
-                    }
+                const std::uint32_t *cores =
+                    slots_[slot].cores.data() + base;
+                if (std::find(cores, cores + heads_, r) !=
+                    cores + heads_) {
+                    lost.push_back(id);
                 }
             }
         }
@@ -628,9 +661,7 @@ BlockKvManager::dropCore(CoreCoord coord)
             if (!(core.info.coord == coord))
                 continue;
             totalBlocks_ -= core.freeBlocks;
-            std::fill(core.freePerXbar.begin(), core.freePerXbar.end(),
-                      0u);
-            core.freeBlocks = 0;
+            core.fence();
             core.markedFull = true;
         }
     };
@@ -659,6 +690,7 @@ BlockKvManager::adoptCore(const KvCoreInfo &info, bool score_duty)
     totalBlocks_ += static_cast<std::uint64_t>(info.crossbars) *
                     info.blocksPerCrossbar;
     ring.push_back(CoreState::empty(info));
+    sizeScratch();
     ++capacityEpoch_; // new capacity and a new ring size
     return static_cast<std::uint32_t>(ring.size() - 1);
 }

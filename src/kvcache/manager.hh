@@ -114,7 +114,7 @@ class KvHandle
  * Per-block KV manager. Thread-compatible, deterministic; the
  * multi-level translation (page table -> bitmap -> block registers,
  * Fig. 12) is modelled by the seq -> head placement map, per-core
- * free-block counters, and per-(seq, head, core) block lists.
+ * free-block counters, and per-(seq, head, block) crossbar records.
  */
 class BlockKvManager
 {
@@ -125,6 +125,8 @@ class BlockKvManager
      * @param threshold fraction of a core's blocks kept in reserve
      *        for growth once the ring cursor visits it (Fig. 17
      *        sweep).
+     * A core may hold at most 64 crossbars; a larger core is rejected
+     * here (and by adoptCore) with a checked error.
      */
     BlockKvManager(const ModelConfig &model,
                    std::vector<KvCoreInfo> score_cores,
@@ -166,8 +168,9 @@ class BlockKvManager
     /**
      * Tokens appendable to a resident sequence through the in-block
      * fast path alone (no block allocation, hence no eviction): the
-     * minimum room left in the newest K/V block over all heads. The
-     * pipeline engine uses this to batch unconstrained decode steps.
+     * room left in the newest K/V block, which is the same for every
+     * head. The pipeline engine uses this to batch unconstrained
+     * decode steps.
      */
     std::uint64_t growRoom(std::uint64_t seq_id) const;
     std::uint64_t growRoom(KvHandle handle) const;
@@ -237,11 +240,23 @@ class BlockKvManager
     std::uint32_t adoptCore(const KvCoreInfo &info, bool score_duty);
 
   private:
-    /** Free-block accounting for one ring core. */
+    /**
+     * Free-block accounting for one ring core. Besides the per-crossbar
+     * free counts it keeps one crossbar mask per free level, so both
+     * allocation policies pick their crossbar in O(1) instead of
+     * scanning the crossbars: K's emptiest crossbar is the lowest set
+     * bit of the top level's mask, V's fallback the lowest crossbar
+     * outside level 0. Cores hold at most kMaxCrossbars crossbars (one
+     * 64-bit mask per level; checked when a core enters the pool).
+     */
     struct CoreState
     {
         KvCoreInfo info;
         std::vector<std::uint32_t> freePerXbar; ///< blocks free
+        /** levels[f]: crossbars with exactly f free blocks. */
+        std::vector<std::uint64_t> levels;
+        /** Highest f with a non-empty levels[f]. */
+        std::uint32_t topLevel = 0;
         /** Sum of freePerXbar, kept in step by every writer: the
          *  admission walk and the grow fit check read it per probe. */
         std::uint32_t freeBlocks = 0;
@@ -249,30 +264,45 @@ class BlockKvManager
 
         std::uint32_t totalFree() const { return freeBlocks; }
 
+        /** Emptiest crossbar, lowest index on ties; needs a free block. */
+        std::uint32_t emptiestXbar() const;
+        /** Lowest-index crossbar with a free block; needs a free block. */
+        std::uint32_t firstFreeXbar() const;
+        /** Take one block from crossbar @p x (which has one free). */
+        void take(std::uint32_t x);
+        /** Return @p n blocks to crossbar @p x. */
+        void give(std::uint32_t x, std::uint32_t n);
+        /** Zero every crossbar's free count (a dropped core). */
+        void fence();
+
         /** An empty core: every crossbar's blocks free. */
         static CoreState empty(const KvCoreInfo &info);
     };
 
-    /** Blocks one (sequence, head) holds on its K or V core. */
-    struct HeadAlloc
-    {
-        std::uint32_t core;          ///< ring index
-        std::uint32_t blocks = 0;    ///< logical blocks held
-        std::uint32_t lastBlockFill = 0; ///< tokens in newest block
-        std::uint32_t homeXbar = 0;  ///< V's preferred crossbar
-        /** Crossbar ownership, (crossbar, blocks) pairs, for release
-         *  accounting (the Fig. 12c block registers). */
-        std::vector<std::pair<std::uint32_t, std::uint32_t>> perXbar;
-    };
-
+    static constexpr std::uint32_t kMaxCrossbars = 64;
+    /** V's preferred crossbar on its core (single-pass accumulation). */
+    static constexpr std::uint32_t kHomeXbar = 0;
     static constexpr std::uint32_t kNilSlot = 0xffffffffu;
 
+    /**
+     * One resident sequence. Every head grows in lockstep - admission
+     * gives each head the same block count, grow() adds one block to
+     * every head or to none, growFast() advances every head - so the
+     * block count and the newest block's fill are per sequence, and
+     * the per-token calls are O(1) whatever the head count.
+     */
     struct SequenceState
     {
         std::uint64_t seqId = 0;
         std::uint64_t tokens = 0;
-        std::vector<HeadAlloc> k;    ///< per head, on score cores
-        std::vector<HeadAlloc> v;    ///< per head, on context cores
+        std::uint32_t blocks = 0;        ///< logical blocks per head
+        std::uint32_t lastBlockFill = 0; ///< tokens in the newest block
+        /** Ring core of every head: K heads (score ring) first, then V
+         *  heads (context ring). */
+        std::vector<std::uint32_t> cores;
+        /** Crossbar of every block, block-major in `cores` order: the
+         *  Fig. 12c block registers, read back on release. */
+        std::vector<std::uint8_t> xbars;
         /** Intrusive admission-order list (head = LRU, tail = MRU). */
         std::uint32_t mruPrev = kNilSlot;
         std::uint32_t mruNext = kNilSlot;
@@ -282,7 +312,7 @@ class BlockKvManager
         bool live = false;
     };
 
-    ModelConfig model_;
+    std::uint32_t heads_; ///< KV heads per sequence (per ring)
     std::vector<CoreState> score_;
     std::vector<CoreState> context_;
     std::uint32_t tokensPerBlock_;
@@ -314,6 +344,12 @@ class BlockKvManager
     /** seq id -> slot, for the id-keyed API and duplicate checks. */
     std::unordered_map<std::uint64_t, std::uint32_t> index_;
 
+    /** Scratch, reused across calls: an admission's planned cores (in
+     *  SequenceState::cores order) and grow()'s per-core block
+     *  demand (all zero between calls, sized to the larger ring). */
+    std::vector<std::uint32_t> plan_;
+    std::vector<std::uint32_t> demand_;
+
     SequenceState &slotRef(KvHandle handle);
     const SequenceState &slotRef(KvHandle handle) const;
 
@@ -335,28 +371,36 @@ class BlockKvManager
     std::uint32_t tryAdmitOnce(std::uint64_t seq_id,
                                std::uint64_t initial_tokens);
 
-    /** Walk @p ring from @p cursor, choosing a core for every entry
-     *  of @p allocs (need blocks each) without touching the pool.
-     *  Advances @p cursor as the walk did; false if a head found no
-     *  core within the probe bound. */
+    /** Walk @p ring from @p cursor, choosing a core for each of the
+     *  heads_ entries of @p cores (need blocks each) without touching
+     *  the pool. Advances @p cursor as the walk did; false if a head
+     *  found no core within the probe bound. */
     bool planRing(const std::vector<CoreState> &ring,
-                  std::uint32_t need, std::vector<HeadAlloc> &allocs,
+                  std::uint32_t need, std::uint32_t *cores,
                   std::uint32_t &cursor) const;
 
-    /** Allocate a planned ring's blocks, head by head. */
-    void commitRing(std::vector<CoreState> &ring,
-                    std::vector<HeadAlloc> &allocs, std::uint32_t need,
-                    std::uint64_t initial_tokens, bool is_v);
+    /** Allocate a planned ring's blocks, head by head, into @p seq
+     *  (@p is_v selects the V half of its cores and the V policy). */
+    void commitRing(std::vector<CoreState> &ring, SequenceState &seq,
+                    std::uint32_t need, bool is_v);
 
-    /** Allocate @p blocks on a ring core; kind selects K/V policy. */
-    bool allocBlocks(CoreState &core, HeadAlloc &alloc,
-                     std::uint32_t blocks, bool is_v);
+    /** Allocate one block on @p core under the K or V policy and
+     *  return its crossbar; @p first is a head's first block (V
+     *  counts a spill only after it). */
+    std::uint8_t takeBlock(CoreState &core, bool is_v, bool first);
 
-    void releaseAlloc(std::vector<CoreState> &ring,
-                      const HeadAlloc &alloc);
+    /** Whether every core of @p ring named by heads_ entries of
+     *  @p cores has one free block per head placed on it. */
+    bool ringFits(const std::vector<CoreState> &ring,
+                  const std::uint32_t *cores);
+
+    /** Ensure the per-core scratch covers both rings. */
+    void sizeScratch();
 
     /** Apply the anti-thrashing threshold rule to a cursor core. */
     void applyThreshold(CoreState &core);
+    /** Freed space may clear the full mark. */
+    void clearThreshold(CoreState &core);
 };
 
 /** Aggregate view over all blocks' managers (model-level stats). */

@@ -229,11 +229,22 @@ WaferMapping::build(const ModelConfig &model,
     const GreedyMapper greedy;
 
     // Block 0's problem is the template every congruent region is
-    // translated from; the candidate distance/penalty table only pays
-    // off for the annealed region (thousands of incremental
-    // evaluations) - replicated regions and the constructive mappers
-    // evaluate the objective once, so they skip the O(C^2) precompute
-    // (the sparse engine's on-the-fly path is bit-identical).
+    // translated from; the candidate distance/penalty table can pay
+    // off only for the annealed region - replicated regions and the
+    // constructive mappers evaluate the objective once, so they skip
+    // the O(C^2) precompute (the sparse engine's on-the-fly path is
+    // bit-identical). Even the anneal needs enough proposals to pay
+    // for the fill: one table entry costs about a tenth of what the
+    // table saves a proposal. Measured on the LLaMA-13B block region
+    // (C = 345 candidates; one thread, Release, median of 31 system
+    // builds on a 4-core x86 host), table vs on-the-fly build time:
+    // 5.8 vs 4.0 ms at 1200 iterations (the system default), 7.8 vs
+    // 7.8 ms at 12000 (the crossover, C^2 / 10 proposals), 15.2 vs
+    // 26.0 ms at 60000.
+    const std::uint64_t proposals = opts.annealIterations *
+                                    std::max(1u, opts.annealRestarts) *
+                                    std::max(1u, opts.annealMoveBatch);
+    const bool table_pays = 10 * proposals >= per_region * per_region;
     std::optional<MappingProblem> template_problem;
 
     mapping.placements_.reserve(num_regions);
@@ -249,7 +260,7 @@ WaferMapping::build(const ModelConfig &model,
             // Full construction: block 0 (the template) or the
             // retained per-region rebuild oracle.
             MappingEngineOptions engine;
-            engine.precomputeDistanceTable = anneals;
+            engine.precomputeDistanceTable = anneals && table_pays;
             engine.distanceTableMaxCandidates =
                 opts.distanceTableMaxCandidates;
             engine.fusedCost = opts.fusedCostEngine;

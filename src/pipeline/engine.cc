@@ -1,8 +1,9 @@
 #include "engine.hh"
 
 #include <algorithm>
+#include <bit>
 #include <deque>
-#include <unordered_map>
+#include <limits>
 #include <vector>
 
 #include "common/logging.hh"
@@ -14,12 +15,13 @@ namespace ouro
 namespace
 {
 
-/** A request's live progress. */
+/** A request's live progress, kept in a table indexed by the
+ *  request's position in the workload. */
 struct ActiveSeq
 {
-    std::uint64_t id;
-    std::uint64_t prefillLen;     ///< tokens to (re)compute as prompt
-    std::uint64_t decodeRemaining;
+    std::uint64_t id = 0;
+    std::uint64_t prefillLen = 0;     ///< tokens to (re)compute as prompt
+    std::uint64_t decodeRemaining = 0;
     std::uint64_t prefillEntered = 0;
     std::uint64_t decoded = 0;
     double nextReady = 0.0;
@@ -29,7 +31,8 @@ struct ActiveSeq
     /** Completion time of this residency's first decode token (the
      *  TTFT sample if the residency completes). */
     double firstTokenDone = 0.0;
-    std::uint64_t generation = 0; ///< invalidates stale heap entries
+    std::uint32_t generation = 0; ///< invalidates stale heap entries
+    bool resident = false;
     KvHandle kv;                  ///< slot ticket into the KV manager
 };
 
@@ -42,14 +45,16 @@ struct Pending
     /** Re-admission after eviction resumes past the old generation so
      *  stale heap entries of the previous residency can never match
      *  (they would resurrect already-retired events otherwise). */
-    std::uint64_t generation = 0;
+    std::uint32_t generation = 0;
+    std::uint32_t pos = 0; ///< position in the workload
 };
 
 struct HeapEntry
 {
     double ready;
     std::uint64_t seq;
-    std::uint64_t generation;
+    std::uint32_t generation;
+    std::uint32_t pos; ///< residency-table index; not part of the order
 
     /** Strict total order: ready, then seq, then generation. The seq
      *  tie-break pins the pop order of simultaneous events, which is
@@ -63,18 +68,19 @@ struct HeapEntry
         return generation > other.generation;
     }
 };
+static_assert(sizeof(HeapEntry) == 24, "keep heap entries compact");
 
 /** One cohort member in the insertion-sorted decode ring. The hot
  *  per-token state is copied OUT of the ActiveSeq at ring build and
  *  written back lazily (completion, eviction, or cohort exit), so
- *  the token loop touches only this flat slot - never the hash-map
- *  node. */
+ *  the token loop touches only this flat slot. */
 struct RingMember
 {
     double ready;             ///< this member's next event time
     std::uint64_t seq;
-    std::uint64_t generation; ///< residency stamp at ring build
-    ActiveSeq *as;            ///< stable: rehash never moves nodes
+    std::uint32_t generation; ///< residency stamp at ring build
+    std::uint32_t pos;        ///< residency-table index
+    ActiveSeq *as;            ///< stable: the table never resizes
     std::uint64_t allowance;  ///< in-block tokens before a slow grow
     std::uint64_t consumed;   ///< deferred tokens for one growFast
     double attnFree;          ///< ring-local copy of as->attnFree
@@ -91,18 +97,28 @@ ringBefore(double a_ready, std::uint64_t a_seq, double b_ready,
     return a_seq < b_seq;
 }
 
+/** (id, position) of every request, ascending by id. */
+using IdIndex = std::vector<std::pair<std::uint64_t, std::uint32_t>>;
+
 /**
  * Reject requests the engine would otherwise turn into fake work: a
  * request with neither prompt nor output tokens (it has nothing to
  * run, yet would be scheduled as if it held a KV block), and a
- * repeated id (residency in the KV manager is keyed by id). Ids
- * arrive ascending from every generator, so the common case is one
- * pass; anything else is checked through a sorted copy.
+ * repeated id (residency in the KV manager is keyed by id). Returns
+ * the id -> position index the eviction paths resolve KV-manager ids
+ * through. Ids arrive ascending from every generator, so the common
+ * case is one pass; anything else is sorted.
  */
-void
-checkRequests(const Workload &workload)
+IdIndex
+indexRequests(const Workload &workload)
 {
     const std::vector<Request> &requests = workload.requests;
+    if (requests.size() > std::numeric_limits<std::uint32_t>::max()) {
+        fatal("runPipeline: ", requests.size(),
+              " requests exceed the 2^32 positions of one run");
+    }
+    IdIndex index;
+    index.reserve(requests.size());
     bool ascending = true;
     for (std::size_t i = 0; i < requests.size(); ++i) {
         const Request &r = requests[i];
@@ -111,17 +127,17 @@ checkRequests(const Workload &workload)
                   " has no prompt and no output tokens");
         }
         ascending = ascending && (i == 0 || requests[i - 1].id < r.id);
+        index.emplace_back(r.id, static_cast<std::uint32_t>(i));
     }
     if (ascending)
-        return;
-    std::vector<std::uint64_t> ids;
-    ids.reserve(requests.size());
-    for (const Request &r : requests)
-        ids.push_back(r.id);
-    std::sort(ids.begin(), ids.end());
-    const auto dup = std::adjacent_find(ids.begin(), ids.end());
-    if (dup != ids.end())
-        fatal("runPipeline: duplicate request id ", *dup);
+        return index;
+    std::sort(index.begin(), index.end());
+    const auto dup = std::adjacent_find(
+            index.begin(), index.end(),
+            [](const auto &a, const auto &b) { return a.first == b.first; });
+    if (dup != index.end())
+        fatal("runPipeline: duplicate request id ", dup->first);
+    return index;
 }
 
 } // namespace
@@ -247,7 +263,7 @@ runPipeline(const Workload &workload, const ModelConfig &model,
             const StageTiming &timing, BlockKvManager &kv,
             const PipelineOptions &opts)
 {
-    checkRequests(workload);
+    const IdIndex id_index = indexRequests(workload);
     PipelineStats stats;
 
     const auto blocks = static_cast<double>(model.numBlocks);
@@ -271,49 +287,132 @@ runPipeline(const Workload &workload, const ModelConfig &model,
     const std::uint64_t cache_misses0 = cache.misses();
 
     std::deque<Pending> queue;
-    for (const auto &r : workload.requests)
-        queue.push_back({r.id, r.prefillLen, r.decodeLen, 0});
+    for (std::size_t i = 0; i < workload.requests.size(); ++i) {
+        const Request &r = workload.requests[i];
+        queue.push_back({r.id, r.prefillLen, r.decodeLen, 0,
+                         static_cast<std::uint32_t>(i)});
+    }
 
-    std::unordered_map<std::uint64_t, ActiveSeq> active;
-    active.reserve(workload.requests.size());
+    // Residency table: one slot per request position, so a heap entry
+    // finds its sequence by index. Ids are needed only where the KV
+    // manager reports victims by id (capacity and storm evictions).
+    std::vector<ActiveSeq> table(workload.requests.size());
+    std::size_t resident_count = 0;
+    auto pos_of = [&](std::uint64_t id) -> std::uint32_t {
+        const auto it = std::lower_bound(
+                id_index.begin(), id_index.end(),
+                std::pair<std::uint64_t, std::uint32_t>{id, 0});
+        ouroAssert(it != id_index.end() && it->first == id,
+                   "pipeline: KV manager reported unknown sequence ",
+                   id);
+        return it->second;
+    };
 
-    // Min-heap of (ready, seq, generation) owned directly (not a
-    // priority_queue) so stale entries can be compacted in place.
+    // Pending events, ordered by HeapEntry's strict (ready, seq,
+    // generation) order, live in two structures that together pop in
+    // exactly that order:
+    //  - a min-heap owned directly (not a priority_queue) so stale
+    //    entries can be compacted in place;
+    //  - the prefill lane, a sorted FIFO for streaming-prefill
+    //    re-pushes. Such an entry is ready at its own stage-0 entry,
+    //    and entry times never decrease in pop order (they strictly
+    //    increase while stage 0 takes time), so these pushes arrive
+    //    sorted; one that would break the lane's order (equal entry
+    //    times can tie-break either way) or finds the lane full goes
+    //    to the heap instead. Each structure's front is its minimum,
+    //    so popping the smaller front pops the union's minimum - the
+    //    heap's own pop sequence by construction - while the common
+    //    prefill token skips a heap sift. Everything that looks at
+    //    pending events (the storm check, the empty skip path, the
+    //    cohort gather, compaction) reads both.
+    const std::size_t reserve = workload.requests.size() + 16;
     std::vector<HeapEntry> ready_heap;
-    ready_heap.reserve(workload.requests.size() + 16);
-    std::size_t stale_entries = 0;
+    ready_heap.reserve(reserve);
+    std::vector<HeapEntry> lane(std::bit_ceil(reserve));
+    const std::size_t lane_mask = lane.size() - 1;
+    std::size_t lane_head = 0;
+    std::size_t lane_size = 0;
+    std::size_t stale_entries = 0; // over heap and lane together
 
     auto heap_push = [&](const HeapEntry &entry) {
         ready_heap.push_back(entry);
         std::push_heap(ready_heap.begin(), ready_heap.end(),
                        std::greater<>{});
     };
-    auto heap_pop = [&]() -> HeapEntry {
+    auto lane_push = [&](const HeapEntry &entry) {
+        if (lane_size == lane.size() ||
+            (lane_size > 0 &&
+             !(entry > lane[(lane_head + lane_size - 1) & lane_mask]))) {
+            heap_push(entry);
+            return;
+        }
+        lane[(lane_head + lane_size) & lane_mask] = entry;
+        ++lane_size;
+    };
+    auto events_empty = [&]() {
+        return ready_heap.empty() && lane_size == 0;
+    };
+    /** True when the lane's front precedes the heap's. */
+    auto lane_first = [&]() {
+        return lane_size > 0 &&
+               (ready_heap.empty() || ready_heap.front() > lane[lane_head]);
+    };
+    /** Ready time of the next event; events must be non-empty. */
+    auto front_ready = [&]() {
+        return lane_first() ? lane[lane_head].ready
+                            : ready_heap.front().ready;
+    };
+    auto pop_event = [&]() -> HeapEntry {
+        if (lane_first()) {
+            const HeapEntry top = lane[lane_head];
+            lane_head = (lane_head + 1) & lane_mask;
+            --lane_size;
+            return top;
+        }
         std::pop_heap(ready_heap.begin(), ready_heap.end(),
                       std::greater<>{});
         const HeapEntry top = ready_heap.back();
         ready_heap.pop_back();
         return top;
     };
-
-    /** The live ActiveSeq a heap entry refers to, or null if stale. */
-    auto live_entry = [&](const HeapEntry &entry) -> ActiveSeq * {
-        const auto it = active.find(entry.seq);
-        if (it == active.end() ||
-            it->second.generation != entry.generation) {
-            return nullptr;
-        }
-        return &it->second;
+    /** Call @p f on every pending event, heap first, then the lane. */
+    auto for_each_event = [&](auto &&f) {
+        for (const HeapEntry &entry : ready_heap)
+            f(entry);
+        for (std::size_t k = 0; k < lane_size; ++k)
+            f(lane[(lane_head + k) & lane_mask]);
+    };
+    auto clear_events = [&]() {
+        ready_heap.clear();
+        lane_head = lane_size = 0;
+        stale_entries = 0;
     };
 
-    // Heap hygiene: evictions leave stale generation entries behind;
+    /** The live ActiveSeq an event refers to, or null if stale. */
+    auto live_entry = [&](const HeapEntry &entry) -> ActiveSeq * {
+        ActiveSeq &seq = table[entry.pos];
+        return seq.resident && seq.generation == entry.generation
+                   ? &seq
+                   : nullptr;
+    };
+    auto next_generation = [](std::uint32_t generation) {
+        ouroAssert(generation < std::numeric_limits<std::uint32_t>::max(),
+                   "pipeline: generation counter overflow");
+        return generation + 1;
+    };
+
+    // Event hygiene: evictions leave stale generation entries behind;
     // once they outnumber the live ones, compact in place so the heap
-    // stays O(live) instead of O(lifetime evictions).
+    // stays O(live) instead of O(lifetime evictions). The lane merges
+    // into the heap only when a compaction actually runs: this check
+    // follows every slow-path decode grow.
     auto compact_heap = [&]() {
-        if (ready_heap.size() < 32 ||
-            stale_entries * 2 <= ready_heap.size()) {
+        const std::size_t pending = ready_heap.size() + lane_size;
+        if (pending < 32 || stale_entries * 2 <= pending)
             return;
-        }
+        for (std::size_t k = 0; k < lane_size; ++k)
+            ready_heap.push_back(lane[(lane_head + k) & lane_mask]);
+        lane_head = lane_size = 0;
         ready_heap.erase(
                 std::remove_if(ready_heap.begin(), ready_heap.end(),
                                [&](const HeapEntry &entry) {
@@ -352,7 +451,7 @@ runPipeline(const Workload &workload, const ModelConfig &model,
     // Admit from the FCFS queue head while the KV pool accepts
     // without evicting (Section 4.4.4: new scheduling never evicts).
     auto pump_admissions = [&](double now) {
-        if (admissions_suspended && !active.empty())
+        if (admissions_suspended && resident_count > 0)
             return;
         admissions_suspended = false; // nothing left running: resume
         while (!queue.empty()) {
@@ -361,53 +460,73 @@ runPipeline(const Workload &workload, const ModelConfig &model,
                 kv.admitNoEvictHandle(p.id, admission_tokens(p));
             if (!handle.valid())
                 break;
-            ActiveSeq seq;
+            ActiveSeq &seq = table[p.pos];
+            seq = ActiveSeq{};
             seq.id = p.id;
             seq.prefillLen = p.prefillLen;
             seq.decodeRemaining = p.decodeRemaining;
             seq.nextReady = now;
             seq.generation = p.generation;
+            seq.resident = true;
             seq.kv = handle;
             if (seq.prefillLen > 0)
                 ++prefill_count;
-            active.emplace(p.id, seq);
-            heap_push({now, p.id, p.generation});
+            ++resident_count;
+            heap_push({now, p.id, p.generation, p.pos});
             queue.pop_front();
         }
         stats.peakConcurrency = std::max(
                 stats.peakConcurrency,
-                static_cast<double>(active.size()));
+                static_cast<double>(resident_count));
     };
 
-    // Eviction handler: kill the resident sequence and put it back at
-    // the FRONT of the wait queue with its grown prefill (recompute).
-    // entries_in_heap says whether each victim's live heap entry is
-    // still enqueued (true on the slow path; false when the victim's
-    // entry lives in the cohort ring or was already popped).
+    /** A residency ends (completion or eviction). */
+    auto retire = [&](ActiveSeq &seq) {
+        seq.resident = false;
+        --resident_count;
+    };
+
+    // Eviction: kill the resident sequence at @p pos and put it back
+    // at the FRONT of the wait queue with everything computed so far
+    // folded into its prefill (recompute), under a fresh generation
+    // so its stale event can never resurrect the dead residency;
+    // admissions suspend (the Section 4.4.4 backpressure rule covers
+    // storm losses too). A storm victim's KV was already destroyed
+    // by dropCore, so no pool state is unwound here either way.
+    // @p entry_enqueued says whether the victim's live event is still
+    // pending (true on the slow path; false when it lives in the
+    // cohort ring or was just popped).
+    auto evict = [&](std::uint32_t pos, bool entry_enqueued,
+                     bool storm) {
+        ActiveSeq &seq = table[pos];
+        if (!seq.resident)
+            return; // already finished/released
+        Pending back;
+        back.id = seq.id;
+        back.prefillLen = seq.prefillLen + seq.decoded;
+        back.decodeRemaining = seq.decodeRemaining;
+        back.generation = next_generation(seq.generation);
+        back.pos = pos;
+        queue.push_front(back);
+        if (storm) {
+            stats.stormEvictions += 1;
+            stats.stormReprefilledTokens += back.prefillLen;
+        } else {
+            stats.evictions += 1;
+        }
+        stats.recomputedTokens += back.prefillLen;
+        if (seq.prefillEntered < seq.prefillLen)
+            --prefill_count;
+        if (entry_enqueued)
+            ++stale_entries;
+        retire(seq);
+        admissions_suspended = true;
+    };
     auto handle_evictions =
             [&](const std::vector<std::uint64_t> &evicted,
-                bool entries_in_heap) {
-        for (const auto id : evicted) {
-            const auto it = active.find(id);
-            if (it == active.end())
-                continue; // already finished/released
-            ActiveSeq &seq = it->second;
-            Pending back;
-            back.id = id;
-            // Everything computed so far must be re-prefilled.
-            back.prefillLen = seq.prefillLen + seq.decoded;
-            back.decodeRemaining = seq.decodeRemaining;
-            back.generation = seq.generation + 1;
-            queue.push_front(back);
-            stats.evictions += 1;
-            stats.recomputedTokens += back.prefillLen;
-            if (seq.prefillEntered < seq.prefillLen)
-                --prefill_count;
-            if (entries_in_heap)
-                ++stale_entries;
-            active.erase(it);
-            admissions_suspended = true;
-        }
+                bool entries_enqueued) {
+        for (const auto id : evicted)
+            evict(pos_of(id), entries_enqueued, false);
     };
 
     // Tandem traversal of the representative block's six stage
@@ -503,40 +622,12 @@ runPipeline(const Workload &workload, const ModelConfig &model,
         return storm != nullptr && storm_next < storm->size();
     };
 
-    // Storm eviction: the victims' KV was already destroyed by
-    // dropCore (released, blocks returned, handles invalidated), so
-    // unlike handle_evictions there is no pool state to unwind -
-    // only the scheduler side: back to the FRONT of the wait queue
-    // with everything decoded so far folded into the re-prefill, a
-    // fresh generation so the stale heap entry can never resurrect
-    // the dead residency, and admissions suspended (the Section
-    // 4.4.4 backpressure rule applies to storm losses too).
-    auto storm_evict = [&](const std::vector<std::uint64_t> &lost) {
-        for (const auto id : lost) {
-            const auto it = active.find(id);
-            if (it == active.end())
-                continue;
-            ActiveSeq &seq = it->second;
-            Pending back;
-            back.id = id;
-            back.prefillLen = seq.prefillLen + seq.decoded;
-            back.decodeRemaining = seq.decodeRemaining;
-            back.generation = seq.generation + 1;
-            queue.push_front(back);
-            stats.stormEvictions += 1;
-            stats.recomputedTokens += back.prefillLen;
-            stats.stormReprefilledTokens += back.prefillLen;
-            if (seq.prefillEntered < seq.prefillLen)
-                --prefill_count;
-            ++stale_entries; // victim's heap entry is still enqueued
-            active.erase(it);
-            admissions_suspended = true;
-        }
-    };
-
     auto apply_storm_event = [&](const KvPoolEvent &ev) {
-        for (const CoreCoord &c : ev.dropCores)
-            storm_evict(kv.dropCore(c));
+        for (const CoreCoord &c : ev.dropCores) {
+            // The victims' events are still pending.
+            for (const auto id : kv.dropCore(c))
+                evict(pos_of(id), true, true);
+        }
         for (const auto &a : ev.adopts)
             kv.adoptCore(a.info, a.scoreDuty);
         compact_heap();
@@ -548,33 +639,33 @@ runPipeline(const Workload &workload, const ModelConfig &model,
     // Cohort decode fast path: with every resident sequence in steady
     // decode and nothing waiting to be admitted, the heap's pop order
     // is a pure (ready, seq) merge of autoregressive chains. Replay
-    // it in an insertion-sorted ring: no heap push/pop, no `active`
-    // hash probe, and per-sequence KV growth batched into one
-    // growFast per in-block run. Block-boundary allocations happen
-    // in ring order via the handle-based grow, so results stay
-    // bit-identical to the slow path; the ring is abandoned the
-    // moment anything contends (eviction, admission, cohort of one).
+    // it in an insertion-sorted ring: no heap push/pop, no table
+    // lookup, and per-sequence KV growth batched into one growFast
+    // per in-block run. Block-boundary allocations happen in ring
+    // order via the handle-based grow, so results stay bit-identical
+    // to the slow path; the ring is abandoned the moment anything
+    // contends (eviction, admission, cohort of one).
     auto cohort_pass = [&]() {
         const bool static_kv = opts.staticKvAllocation;
 
-        // Gather the one live heap entry of every resident sequence,
+        // Gather the one live event of every resident sequence,
         // copying the hot per-token state into the flat ring slots.
+        // (With no sequence in prefill, lane entries are all stale.)
         std::vector<RingMember> ring;
-        ring.reserve(active.size());
-        for (const HeapEntry &entry : ready_heap) {
+        ring.reserve(resident_count);
+        for_each_event([&](const HeapEntry &entry) {
             ActiveSeq *as = live_entry(entry);
             if (as) {
                 ring.push_back({entry.ready, entry.seq,
-                                entry.generation, as, 0, 0,
+                                entry.generation, entry.pos, as, 0, 0,
                                 as->attnFree,
                                 as->prefillLen + as->decoded,
                                 as->decodeRemaining});
             }
-        }
-        ouroAssert(ring.size() == active.size(),
-                   "cohort: live heap entries != resident sequences");
-        ready_heap.clear();
-        stale_entries = 0;
+        });
+        ouroAssert(ring.size() == resident_count,
+                   "cohort: live events != resident sequences");
+        clear_events();
         std::sort(ring.begin(), ring.end(),
                   [](const RingMember &a, const RingMember &b) {
                       return ringBefore(a.ready, a.seq, b.ready,
@@ -631,10 +722,12 @@ runPipeline(const Workload &workload, const ModelConfig &model,
                     }
                     if (!grown.ok) {
                         // Pool too small even after evicting everyone
-                        // else: evict self (slow-path semantics).
-                        handle_evictions({m.seq}, false);
-                        if (kv.resident(m.seq))
-                            kv.release(m.seq);
+                        // else: evict self (slow-path semantics). A
+                        // failed grow never evicts the grower, so its
+                        // handle is still live.
+                        const KvHandle self = m.as->kv;
+                        evict(m.pos, false, false);
+                        kv.release(self);
                         pump_admissions(makespan);
                         bail = true;
                         break; // member dropped, not reinserted
@@ -669,7 +762,7 @@ runPipeline(const Workload &workload, const ModelConfig &model,
                 if (!static_kv && m.consumed > 0)
                     kv.growFast(m.as->kv, m.consumed);
                 kv.release(m.as->kv);
-                active.erase(m.seq);
+                retire(*m.as);
                 admissions_suspended = false; // a request completed
                 pump_admissions(entry);
                 if (contended)
@@ -695,46 +788,42 @@ runPipeline(const Workload &workload, const ModelConfig &model,
 
         // Survivors sync back and return to the heap with their
         // deferred KV growth committed. Evicted members are skipped:
-        // either gone from `active`, or already re-admitted under a
-        // NEW generation (their fresh heap entry was pushed by
+        // either no longer resident, or already re-admitted under a
+        // NEW generation (their fresh event was pushed by
         // pump_admissions, so re-pushing this stale membership would
         // duplicate them).
         for (std::size_t k = 0; k < count; ++k) {
             const RingMember &m = at(k);
-            const auto it = active.find(m.seq);
-            if (it == active.end() ||
-                it->second.generation != m.generation) {
+            if (!m.as->resident || m.as->generation != m.generation)
                 continue;
-            }
             sync_member(m);
             if (!static_kv && m.consumed > 0)
-                kv.growFast(it->second.kv, m.consumed);
-            heap_push({m.ready, m.seq, m.generation});
+                kv.growFast(m.as->kv, m.consumed);
+            heap_push({m.ready, m.seq, m.generation, m.pos});
         }
     };
 
     pump_admissions(0.0);
 
-    while (!ready_heap.empty() || !queue.empty()) {
-        // Storm events interleave with heap events on the run clock:
-        // pop order is nondecreasing in `ready`, so applying an event
-        // once its time is <= the heap front means no item whose
+    while (!events_empty() || !queue.empty()) {
+        // Storm events interleave with pending events on the run
+        // clock: pop order is nondecreasing in `ready`, so applying an
+        // event once its time is <= the front's means no item whose
         // ready time FOLLOWS the event can have been processed before
         // it (stale fronts only delay application, never reorder it).
-        // With the heap empty the event is the only state change left
-        // - apply it before the skip path so adopted capacity can
-        // still rescue the queue head.
+        // With no event pending the storm event is the only state
+        // change left - apply it before the skip path so adopted
+        // capacity can still rescue the queue head.
         if (storm_pending()) {
             const KvPoolEvent &ev = (*storm)[storm_next];
-            if (ready_heap.empty() ||
-                ev.time <= ready_heap.front().ready) {
+            if (events_empty() || ev.time <= front_ready()) {
                 ++storm_next;
                 apply_storm_event(ev);
                 continue;
             }
         }
 
-        if (ready_heap.empty()) {
+        if (events_empty()) {
             // Nothing runnable but requests remain: every resident
             // sequence finished yet the queue head still does not
             // fit, so the request genuinely exceeds pool capacity.
@@ -754,23 +843,21 @@ runPipeline(const Workload &workload, const ModelConfig &model,
         // bails out BEFORE entry: the ring advances members past the
         // event time with no event check in its token loop.
         if (opts.cohortFastPath && prefill_count == 0 &&
-            queue.empty() && active.size() > 1 &&
-            !storm_pending()) {
+            queue.empty() && resident_count > 1 && !storm_pending()) {
             cohort_pass();
             continue;
         }
 
-        const HeapEntry top = heap_pop();
-        const auto it = active.find(top.seq);
-        if (it == active.end() ||
-            it->second.generation != top.generation) {
+        const HeapEntry top = pop_event();
+        ActiveSeq *live = live_entry(top);
+        if (!live) {
             // Stale entry drained naturally: keep the hygiene counter
             // honest or compact_heap fires on an already-clean heap.
             if (stale_entries > 0)
                 --stale_entries;
             continue;
         }
-        ActiveSeq &seq = it->second;
+        ActiveSeq &seq = *live;
 
         bool is_prefill = seq.prefillEntered < seq.prefillLen;
 
@@ -785,7 +872,7 @@ runPipeline(const Workload &workload, const ModelConfig &model,
         // (Bails out while a storm event is pending for the same
         // reason as the cohort ring: the batch would decode past the
         // event against KV the storm is about to destroy.)
-        if (!is_prefill && active.size() == 1 && queue.empty() &&
+        if (!is_prefill && resident_count == 1 && queue.empty() &&
             !storm_pending()) {
             const std::uint64_t room =
                 opts.staticKvAllocation ? seq.decodeRemaining
@@ -817,13 +904,14 @@ runPipeline(const Workload &workload, const ModelConfig &model,
                     record_completion(seq.firstTokenDone, finished,
                                       seq.decoded);
                     kv.release(seq.kv);
-                    active.erase(it); // invalidates seq
+                    retire(seq);
                     admissions_suspended = false;
                     pump_admissions(finished);
                     continue;
                 }
-                seq.generation += 1;
-                heap_push({seq.nextReady, seq.id, seq.generation});
+                seq.generation = next_generation(seq.generation);
+                heap_push({seq.nextReady, seq.id, seq.generation,
+                           top.pos});
                 continue;
             }
             // No in-block room: fall through to the slow path, which
@@ -876,9 +964,11 @@ runPipeline(const Workload &workload, const ModelConfig &model,
                 if (!grow.ok) {
                     // The grower itself could not fit (pool too small
                     // even after evicting everyone else): evict self.
-                    handle_evictions({seq.id}, false);
-                    if (kv.resident(seq.id))
-                        kv.release(seq.id);
+                    // A failed grow never evicts the grower, so its
+                    // handle is still live.
+                    const KvHandle self = seq.kv;
+                    evict(top.pos, false, false);
+                    kv.release(self);
                     pump_admissions(makespan);
                     continue;
                 }
@@ -894,24 +984,28 @@ runPipeline(const Workload &workload, const ModelConfig &model,
             seq.prefillEntered += item->tokens;
             const bool done_prefill =
                 seq.prefillEntered >= seq.prefillLen;
+            if (seq.decodeRemaining == 0 && done_prefill) {
+                --prefill_count;
+                kv.release(seq.kv);
+                retire(seq);
+                admissions_suspended = false; // a request completed
+                pump_admissions(entry);
+                continue;
+            }
+            seq.generation = next_generation(seq.generation);
             if (done_prefill) {
                 // First decode token depends on the prompt's full
                 // traversal of the pipeline.
                 --prefill_count;
                 seq.nextReady = completion;
+                heap_push({seq.nextReady, seq.id, seq.generation,
+                           top.pos});
             } else {
                 // Prefill tokens stream: next is ready at this entry.
                 seq.nextReady = entry;
+                lane_push({seq.nextReady, seq.id, seq.generation,
+                           top.pos});
             }
-            if (seq.decodeRemaining == 0 && done_prefill) {
-                kv.release(seq.kv);
-                active.erase(it);
-                admissions_suspended = false; // a request completed
-                pump_admissions(entry);
-                continue;
-            }
-            seq.generation += 1;
-            heap_push({seq.nextReady, seq.id, seq.generation});
         } else {
             if (seq.decoded == 0)
                 seq.firstTokenDone = completion;
@@ -923,14 +1017,14 @@ runPipeline(const Workload &workload, const ModelConfig &model,
                 record_completion(seq.firstTokenDone, completion,
                                   seq.decoded);
                 kv.release(seq.kv);
-                active.erase(it);
+                retire(seq);
                 admissions_suspended = false; // a request completed
                 pump_admissions(entry);
                 continue;
             }
             seq.nextReady = completion; // autoregressive gating
-            seq.generation += 1;
-            heap_push({seq.nextReady, seq.id, seq.generation});
+            seq.generation = next_generation(seq.generation);
+            heap_push({seq.nextReady, seq.id, seq.generation, top.pos});
         }
         pump_admissions(entry);
     }

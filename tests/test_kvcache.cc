@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <set>
 
 #include "common/rng.hh"
@@ -615,6 +616,446 @@ TEST(KvAdmissionMemo, LockstepTwinsIgnoreExtraFailedAdmissions)
     EXPECT_GT(repeats, 100u);
     EXPECT_GT(a.evictionCount(), 0u);
     EXPECT_GT(a.vSpills(), 0u);
+}
+
+/**
+ * Reference model of the manager's documented policy, written the
+ * plain way: every head owns its own block list, K picks the emptiest
+ * crossbar and V its home crossbar 0 (else the lowest free one) by a
+ * scan over the crossbars, admission walks a copy of the rings and
+ * keeps it only when every head fits, and growth checks per-core
+ * demand head by head. The manager's lockstep fill, crossbar masks
+ * and read-only planning must agree with it on every observable.
+ */
+class RefKv
+{
+  public:
+    struct Core
+    {
+        CoreCoord coord;
+        std::uint32_t blocksPerXbar = 0;
+        std::vector<std::uint32_t> free;
+        bool full = false;
+
+        std::uint32_t total() const
+        {
+            std::uint32_t sum = 0;
+            for (const std::uint32_t f : free)
+                sum += f;
+            return sum;
+        }
+        double capacity() const
+        {
+            return static_cast<double>(free.size()) * blocksPerXbar;
+        }
+    };
+    struct Head
+    {
+        std::uint32_t core = 0;
+        std::vector<std::uint32_t> xbars; ///< one per block
+        std::uint32_t fill = 0;           ///< tokens in the newest
+    };
+    struct Seq
+    {
+        std::uint64_t id = 0;
+        std::vector<Head> k, v;
+    };
+
+    RefKv(std::uint32_t heads, const std::vector<KvCoreInfo> &score,
+          const std::vector<KvCoreInfo> &context)
+        : heads_(heads)
+    {
+        for (const KvCoreInfo &info : score)
+            score_.push_back(empty(info));
+        for (const KvCoreInfo &info : context)
+            context_.push_back(empty(info));
+    }
+
+    std::uint64_t used = 0;
+    std::uint64_t spills = 0;
+    std::uint64_t evictions = 0;
+    std::vector<Seq> residents; ///< admission order: back is MRU
+
+    bool admitNoEvict(std::uint64_t id, std::uint64_t tokens)
+    {
+        const std::uint32_t need =
+            tokens == 0 ? 1 : static_cast<std::uint32_t>((tokens + 127) / 128);
+        const std::uint32_t fill = static_cast<std::uint32_t>(
+                tokens == 0 ? 0 : tokens - (need - 1) * 128u);
+        std::vector<Core> score = score_, context = context_;
+        std::uint32_t sc = scoreCursor_, cc = contextCursor_;
+        const std::uint64_t spills_before = spills;
+        Seq seq;
+        seq.id = id;
+        if (!walk(score, sc, need, fill, false, seq.k) ||
+            !walk(context, cc, need, fill, true, seq.v)) {
+            spills = spills_before; // a failed admission spills nothing
+            return false;
+        }
+        score_ = std::move(score);
+        context_ = std::move(context);
+        scoreCursor_ = sc;
+        contextCursor_ = cc;
+        used += 2ull * heads_ * need;
+        residents.push_back(std::move(seq));
+        return true;
+    }
+
+    KvResult admit(std::uint64_t id, std::uint64_t tokens)
+    {
+        KvResult r;
+        while (!admitNoEvict(id, tokens)) {
+            if (residents.empty())
+                return r;
+            r.evicted.push_back(residents.back().id);
+            release(residents.back().id);
+            ++evictions;
+        }
+        r.ok = true;
+        return r;
+    }
+
+    KvResult grow(std::uint64_t id)
+    {
+        KvResult r;
+        Seq *seq = find(id);
+        bool room = true;
+        for (const Head &h : seq->k)
+            room &= h.fill < 128;
+        for (const Head &h : seq->v)
+            room &= h.fill < 128;
+        if (room) {
+            for (Head &h : seq->k)
+                ++h.fill;
+            for (Head &h : seq->v)
+                ++h.fill;
+            r.ok = true;
+            return r;
+        }
+        while (!(fits(score_, seq->k) && fits(context_, seq->v))) {
+            std::size_t victim = residents.size();
+            while (victim > 0 && residents[victim - 1].id == id)
+                --victim;
+            if (victim == 0)
+                return r;
+            const std::uint64_t vid = residents[victim - 1].id;
+            release(vid);
+            r.evicted.push_back(vid);
+            ++evictions;
+            seq = find(id);
+        }
+        for (Head &h : seq->k) {
+            h.xbars.push_back(take(score_[h.core], false, true));
+            h.fill = 1;
+            mark(score_[h.core]);
+        }
+        for (Head &h : seq->v) {
+            h.xbars.push_back(take(context_[h.core], true, true));
+            h.fill = 1;
+            mark(context_[h.core]);
+        }
+        used += 2ull * heads_;
+        r.ok = true;
+        return r;
+    }
+
+    std::uint64_t growRoom(std::uint64_t id)
+    {
+        std::uint32_t room = 128;
+        const Seq *seq = find(id);
+        for (const Head &h : seq->k)
+            room = std::min(room, 128 - h.fill);
+        for (const Head &h : seq->v)
+            room = std::min(room, 128 - h.fill);
+        return room;
+    }
+
+    void growFast(std::uint64_t id, std::uint64_t n)
+    {
+        Seq *seq = find(id);
+        for (Head &h : seq->k)
+            h.fill += static_cast<std::uint32_t>(n);
+        for (Head &h : seq->v)
+            h.fill += static_cast<std::uint32_t>(n);
+    }
+
+    void release(std::uint64_t id)
+    {
+        const auto it = std::find_if(
+                residents.begin(), residents.end(),
+                [&](const Seq &s) { return s.id == id; });
+        for (const Head &h : it->k)
+            give(score_[h.core], h);
+        for (const Head &h : it->v)
+            give(context_[h.core], h);
+        residents.erase(it);
+    }
+
+    std::vector<std::uint64_t> dropCore(CoreCoord coord)
+    {
+        std::vector<std::uint64_t> lost;
+        for (const Seq &s : residents) {
+            bool hit = false;
+            for (const Head &h : s.k)
+                hit |= score_[h.core].coord == coord;
+            for (const Head &h : s.v)
+                hit |= context_[h.core].coord == coord;
+            if (hit)
+                lost.push_back(s.id);
+        }
+        std::sort(lost.begin(), lost.end());
+        for (const std::uint64_t id : lost)
+            release(id);
+        for (auto *ring : {&score_, &context_}) {
+            for (Core &c : *ring) {
+                if (c.coord == coord) {
+                    std::fill(c.free.begin(), c.free.end(), 0u);
+                    c.full = true;
+                }
+            }
+        }
+        return lost;
+    }
+
+    void adoptCore(const KvCoreInfo &info, bool score_duty)
+    {
+        (score_duty ? score_ : context_).push_back(empty(info));
+    }
+
+    HeadPlacement placement(std::uint64_t id, std::uint32_t head)
+    {
+        const Seq *seq = find(id);
+        return {seq->k[head].core, seq->v[head].core};
+    }
+
+  private:
+    std::uint32_t heads_;
+    std::vector<Core> score_, context_;
+    std::uint32_t scoreCursor_ = 0, contextCursor_ = 0;
+
+    static Core empty(const KvCoreInfo &info)
+    {
+        Core c;
+        c.coord = info.coord;
+        c.blocksPerXbar = info.blocksPerCrossbar;
+        c.free.assign(info.crossbars, info.blocksPerCrossbar);
+        return c;
+    }
+
+    Seq *find(std::uint64_t id)
+    {
+        for (Seq &s : residents) {
+            if (s.id == id)
+                return &s;
+        }
+        ADD_FAILURE() << "reference: " << id << " not resident";
+        return &residents.front();
+    }
+
+    /** One block under the K or V policy, by a crossbar scan. */
+    std::uint32_t take(Core &core, bool is_v, bool count_spill)
+    {
+        std::uint32_t chosen = 0;
+        if (is_v && core.free[0] > 0) {
+            chosen = 0;
+        } else if (is_v) {
+            while (core.free[chosen] == 0)
+                ++chosen;
+            spills += count_spill;
+        } else {
+            for (std::uint32_t x = 1; x < core.free.size(); ++x) {
+                if (core.free[x] > core.free[chosen])
+                    chosen = x;
+            }
+        }
+        --core.free[chosen];
+        return chosen;
+    }
+
+    void mark(Core &core)
+    {
+        if (core.total() < 0.1 * core.capacity())
+            core.full = true;
+    }
+
+    void give(Core &core, const Head &h)
+    {
+        for (const std::uint32_t x : h.xbars)
+            ++core.free[x];
+        used -= h.xbars.size();
+        if (core.total() > 0.1 * core.capacity())
+            core.full = false;
+    }
+
+    bool fits(const std::vector<Core> &ring, const std::vector<Head> &heads)
+    {
+        for (const Head &h : heads) {
+            std::uint32_t demand = 0;
+            for (const Head &o : heads)
+                demand += o.core == h.core;
+            if (ring[h.core].total() < demand)
+                return false;
+        }
+        return true;
+    }
+
+    /** The allocating admission walk on (a copy of) one ring. */
+    bool walk(std::vector<Core> &ring, std::uint32_t &cursor,
+              std::uint32_t need, std::uint32_t fill, bool is_v,
+              std::vector<Head> &out)
+    {
+        const auto size = static_cast<std::uint32_t>(ring.size());
+        std::uint32_t probes = 0;
+        while (out.size() < heads_ && probes < 2 * size + heads_) {
+            Core &core = ring[cursor % size];
+            const std::uint32_t index = cursor % size;
+            ++probes;
+            ++cursor;
+            if (core.full)
+                continue;
+            const auto reserve = static_cast<std::uint32_t>(
+                    std::ceil(0.1 * core.capacity()));
+            if (core.total() < need + reserve)
+                continue;
+            Head h;
+            h.core = index;
+            h.fill = fill;
+            for (std::uint32_t b = 0; b < need; ++b)
+                h.xbars.push_back(take(core, is_v, b > 0));
+            mark(core);
+            out.push_back(std::move(h));
+        }
+        cursor %= size;
+        return out.size() == heads_;
+    }
+};
+
+TEST(KvManager, MatchesScanReferenceModel)
+{
+    // Random admit/grow/growFast/release/dropCore/adoptCore sequences
+    // against RefKv. Cores mix crossbar counts (a 64-crossbar core
+    // exercises the full mask width) and blocks per crossbar, and
+    // admissions cover fills of 0, 1, 127, 128 and 129 tokens.
+    const ModelConfig cfg = kvModel();
+    const std::vector<KvCoreInfo> score = {
+        {{0, 0}, 4, 8}, {{0, 1}, 3, 5}, {{0, 2}, 4, 8}, {{0, 3}, 2, 8},
+        {{0, 4}, 5, 3}, {{0, 5}, 4, 8}, {{0, 6}, 1, 9}, {{0, 7}, 4, 8}};
+    const std::vector<KvCoreInfo> context = {
+        {{1, 0}, 2, 8}, {{1, 1}, 3, 4}, {{1, 2}, 2, 8}, {{1, 3}, 6, 2},
+        {{1, 4}, 2, 8}, {{1, 5}, 2, 7}, {{1, 6}, 64, 1}, {{1, 7}, 2, 8}};
+    BlockKvManager mgr(cfg, score, context);
+    RefKv ref(4, score, context);
+
+    std::vector<CoreCoord> live_score, live_context;
+    for (const KvCoreInfo &info : score)
+        live_score.push_back(info.coord);
+    for (const KvCoreInfo &info : context)
+        live_context.push_back(info.coord);
+    const std::vector<KvCoreInfo> adopt_shapes = {
+        {{0, 0}, 2, 8}, {{0, 0}, 64, 1}, {{0, 0}, 7, 4}};
+    const std::vector<std::uint64_t> tokens_choices = {0,   1,   127, 128,
+                                                       129, 255, 300};
+
+    Rng rng(515);
+    std::uint64_t next_id = 1;
+    std::uint32_t next_col = 100;
+    std::uint64_t admitted = 0, failed = 0, boundary_grows = 0;
+    const auto pick = [&](const auto &v) {
+        return v[rng.uniformInt(0, v.size() - 1)];
+    };
+    const auto ids = [&] {
+        std::vector<std::uint64_t> out;
+        for (const RefKv::Seq &s : ref.residents)
+            out.push_back(s.id);
+        return out;
+    };
+
+    for (int step = 0; step < 6000 && !HasFailure(); ++step) {
+        const std::uint64_t roll = rng.uniformInt(0, 99);
+        const std::vector<std::uint64_t> live = ids();
+        if (roll < 35 || live.empty()) {
+            const std::uint64_t tokens = pick(tokens_choices);
+            const std::uint64_t id = next_id++;
+            const bool ok = mgr.admitNoEvict(id, tokens);
+            ASSERT_EQ(ok, ref.admitNoEvict(id, tokens)) << "step " << step;
+            ok ? ++admitted : ++failed;
+        } else if (roll < 40) {
+            const std::uint64_t tokens = pick(tokens_choices);
+            const std::uint64_t id = next_id++;
+            const KvResult r = mgr.admit(id, tokens);
+            const KvResult e = ref.admit(id, tokens);
+            ASSERT_EQ(r.ok, e.ok) << "step " << step;
+            ASSERT_EQ(r.evicted, e.evicted) << "step " << step;
+        } else if (roll < 70) {
+            const std::uint64_t id = pick(live);
+            boundary_grows += mgr.growRoom(id) == 0;
+            const KvResult r = mgr.grow(mgr.handleOf(id));
+            const KvResult e = ref.grow(id);
+            ASSERT_EQ(r.ok, e.ok) << "step " << step;
+            ASSERT_EQ(r.evicted, e.evicted) << "step " << step;
+            if (!r.ok) {
+                mgr.release(id);
+                ref.release(id);
+            }
+        } else if (roll < 82) {
+            const std::uint64_t id = pick(live);
+            const std::uint64_t room = mgr.growRoom(id);
+            if (room > 0) {
+                const std::uint64_t n = rng.uniformInt(1, room);
+                mgr.growFast(mgr.handleOf(id), n);
+                ref.growFast(id, n);
+            }
+        } else if (roll < 94) {
+            const std::uint64_t id = pick(live);
+            mgr.release(mgr.handleOf(id));
+            ref.release(id);
+        } else if (roll < 97) {
+            auto &ring = rng.uniformInt(0, 1) ? live_score : live_context;
+            if (ring.size() <= cfg.numKvHeads)
+                continue;
+            const std::size_t at = rng.uniformInt(0, ring.size() - 1);
+            const CoreCoord coord = ring[at];
+            ring.erase(ring.begin() + static_cast<std::ptrdiff_t>(at));
+            ASSERT_EQ(mgr.dropCore(coord), ref.dropCore(coord))
+                << "step " << step;
+        } else {
+            const bool duty = rng.uniformInt(0, 1) == 1;
+            KvCoreInfo info = pick(adopt_shapes);
+            info.coord = {duty ? 0u : 1u, next_col++};
+            mgr.adoptCore(info, duty);
+            ref.adoptCore(info, duty);
+            (duty ? live_score : live_context).push_back(info.coord);
+        }
+
+        ASSERT_EQ(mgr.vSpills(), ref.spills) << "step " << step;
+        ASSERT_EQ(mgr.usedBlocks(), ref.used) << "step " << step;
+        ASSERT_EQ(mgr.evictionCount(), ref.evictions) << "step " << step;
+        ASSERT_EQ(mgr.numResident(), ref.residents.size());
+        for (const std::uint64_t id : ids()) {
+            ASSERT_EQ(mgr.growRoom(id), ref.growRoom(id)) << "step " << step;
+            for (std::uint32_t h = 0; h < 4; ++h) {
+                const HeadPlacement a = mgr.headPlacement(id, h);
+                const HeadPlacement b = ref.placement(id, h);
+                ASSERT_EQ(a.scoreCore, b.scoreCore) << "step " << step;
+                ASSERT_EQ(a.contextCore, b.contextCore) << "step " << step;
+            }
+        }
+    }
+    // The sequence must reach the interesting states.
+    EXPECT_GT(admitted, 300u);
+    EXPECT_GT(failed, 100u);
+    EXPECT_GT(boundary_grows, 100u);
+    EXPECT_GT(mgr.evictionCount(), 0u);
+    EXPECT_GT(mgr.vSpills(), 0u);
+}
+
+TEST(KvManager, RejectsCoresWiderThanTheCrossbarMask)
+{
+    const std::vector<KvCoreInfo> wide = {{{0, 0}, 65, 8}};
+    EXPECT_DEATH(BlockKvManager(kvModel(), wide, pool(4, 4, 8, 1)),
+                 "at most 64");
+    BlockKvManager mgr(kvModel(), pool(4), pool(4, 4, 8, 1));
+    EXPECT_DEATH(mgr.adoptCore({{5, 5}, 65, 8}, true), "at most 64");
 }
 
 /** Property: admit/release round-trips leave zero residue. */

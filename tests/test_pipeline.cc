@@ -9,11 +9,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
 #include <optional>
 #include <type_traits>
 
 #include "common/logging.hh"
+#include "common/rng.hh"
 #include "kvcache/manager.hh"
 #include "model/llm.hh"
 #include "pipeline/engine.hh"
@@ -1101,6 +1103,198 @@ TEST(SaturatedGolden, FourWaferFleet)
         h.stats(s);
     }
     EXPECT_EQ(h.value(), kGolden);
+}
+
+// ---- Conservation with prefill-only and decode-only requests --------
+
+/**
+ * Identities every run without skipped requests must satisfy: each
+ * requested decode token is output exactly once, each request with
+ * output yields one TTFT sample (and one spacing sample from two
+ * tokens on), binned tokens sum to the output, every requested token
+ * is processed, and what is processed beyond the request is bounded
+ * by the booked recomputation. The pool ends empty.
+ */
+void
+expectConserved(const Workload &w, const PipelineStats &s,
+                const BlockKvManager &kv)
+{
+    std::uint64_t requested = 0, decode = 0, ttft = 0, spacing = 0;
+    for (const Request &r : w.requests) {
+        requested += r.prefillLen + r.decodeLen;
+        decode += r.decodeLen;
+        ttft += r.decodeLen >= 1;
+        spacing += r.decodeLen >= 2;
+    }
+    EXPECT_EQ(s.skippedRequests, 0u);
+    EXPECT_EQ(s.outputTokens, decode);
+    EXPECT_EQ(s.ttftSamples.size(), ttft);
+    EXPECT_EQ(s.interTokenSamples.size(), spacing);
+    std::uint64_t binned = 0;
+    for (const std::uint64_t b : s.outputTokenBins)
+        binned += b;
+    EXPECT_EQ(binned, decode);
+    EXPECT_GE(s.tokensProcessed, requested);
+    EXPECT_LE(s.tokensProcessed, requested + s.recomputedTokens);
+    if (s.evictions == 0) {
+        EXPECT_EQ(s.tokensProcessed, requested);
+    }
+    for (const double t : s.ttftSamples) {
+        EXPECT_GT(t, 0.0);
+        EXPECT_LE(t, s.makespanSeconds);
+    }
+    EXPECT_EQ(kv.numResident(), 0u);
+    EXPECT_EQ(kv.usedBlocks(), 0u);
+}
+
+/** Alternating prefill-only and decode-only requests (plus a few
+ *  with both), ids ascending. */
+Workload
+oneSidedWorkload(std::size_t n, std::uint64_t prefill,
+                 std::uint64_t decode)
+{
+    Workload w;
+    w.name = "one-sided";
+    for (std::size_t i = 0; i < n; ++i) {
+        Request r;
+        r.id = i;
+        r.prefillLen = i % 2 == 0 ? prefill + i : (i % 3 == 0 ? 8 : 0);
+        r.decodeLen = i % 2 == 1 ? decode + i : 0;
+        w.requests.push_back(r);
+    }
+    return w;
+}
+
+/** Run @p w cohort on and off (must agree bit for bit), checking
+ *  conservation on both; returns the cohort-on stats. */
+PipelineStats
+conservedRun(const Workload &w, const std::vector<KvCoreInfo> &score,
+             const std::vector<KvCoreInfo> &context,
+             PipelineOptions opts = {})
+{
+    const ModelConfig cfg = pipeModel();
+    opts.throughputBinSeconds = 1e-4;
+    std::optional<PipelineStats> first;
+    for (const bool cohort : {true, false}) {
+        BlockKvManager kv(cfg, score, context);
+        opts.cohortFastPath = cohort;
+        const PipelineStats s =
+            runPipeline(w, cfg, uniformTiming(), kv, opts);
+        expectConserved(w, s, kv);
+        if (first)
+            EXPECT_EQ(hashOf(s), hashOf(*first));
+        else
+            first = s;
+    }
+    return *first;
+}
+
+TEST(Conservation, PrefillOnlyAndDecodeOnlyMixed)
+{
+    // Both kinds resident together: the slow path (cohort off) and,
+    // once the prefill-only requests drain, the cohort ring.
+    conservedRun(oneSidedWorkload(24, 100, 150), bigPool(), bigPool(64, 1));
+}
+
+TEST(Conservation, DecodeOnlyCohortRing)
+{
+    // Every request decodes from its first event: prefill_count stays
+    // zero, so the cohort ring runs from t = 0.
+    Workload w;
+    for (std::uint64_t i = 0; i < 12; ++i)
+        w.requests.push_back({i, 0, 200 + 37 * i});
+    conservedRun(w, bigPool(), bigPool(64, 1));
+}
+
+TEST(Conservation, SingleStreamBatch)
+{
+    // One resident request at a time: the single-stream decode batch
+    // for the decode-only request, the plain prefill path for the
+    // prefill-only one, and a request with one output token.
+    for (const Request r : {Request{0, 0, 700}, Request{0, 700, 0},
+                            Request{0, 0, 1}, Request{0, 1, 0}}) {
+        Workload w;
+        w.requests.push_back(r);
+        conservedRun(w, bigPool(), bigPool(64, 1));
+    }
+}
+
+TEST(Conservation, StaticKvAllocation)
+{
+    PipelineOptions opts;
+    opts.staticKvAllocation = true;
+    opts.maxContext = 512;
+    conservedRun(oneSidedWorkload(24, 100, 150), bigPool(4),
+                 bigPool(4, 1), opts);
+}
+
+TEST(Conservation, EvictionOfOneSidedRequests)
+{
+    // A pool small enough that decode growth evicts: prefill-only
+    // victims re-prefill their prompt, decode-only victims re-prefill
+    // what they decoded, and neither may lose or repeat an output.
+    std::vector<KvCoreInfo> score, context;
+    for (std::uint32_t i = 0; i < 4; ++i) {
+        score.push_back({{0, i}, 4, 8});
+        context.push_back({{1, i}, 4, 8});
+    }
+    const PipelineStats s =
+        conservedRun(oneSidedWorkload(40, 200, 400), score, context);
+    EXPECT_GT(s.evictions, 0u);
+}
+
+// ---- Prefill lane: tied ready times ----------------------------------
+
+TEST(PrefillLane, TiedReadyTimesGolden)
+{
+    // Dyadic stage times with no context term make every event time an
+    // exact multiple of 2^-20 s, so streaming-prefill re-pushes tie on
+    // `ready` with decode completions and with admissions pushed at the
+    // same entry time, and the (seq, generation) tie-break decides the
+    // pop order. With a zero-time first stage, consecutive prefill
+    // entries tie with each other too, so re-pushes can arrive out of
+    // (ready, seq) order. Ids run against workload positions, the pool
+    // is small enough to evict, and the mix includes prefill-only and
+    // decode-only requests. Captured before the prefill lane and the
+    // position-indexed residency table existed.
+    constexpr std::uint64_t kGolden = 0x0d5b3edf3c9640c6ULL;
+    constexpr std::uint64_t kGoldenFreeStage0 = 0xd7563b3284ee8475ULL;
+    const ModelConfig cfg = pipeModel();
+    const std::vector<std::uint64_t> prefills = {0, 1, 3, 17, 128, 129, 200};
+    const std::vector<std::uint64_t> decodes = {0, 1, 2, 40, 300};
+    Rng rng(77);
+    Workload w;
+    for (std::uint64_t i = 0; i < 96; ++i) {
+        Request r;
+        r.id = 1000 + (i * 37) % 96;
+        r.prefillLen = prefills[rng.uniformInt(0, prefills.size() - 1)];
+        r.decodeLen = decodes[rng.uniformInt(0, decodes.size() - 1)];
+        if (r.prefillLen == 0 && r.decodeLen == 0)
+            r.decodeLen = 1;
+        w.requests.push_back(r);
+    }
+    std::vector<KvCoreInfo> score, context;
+    for (std::uint32_t i = 0; i < 4; ++i) {
+        score.push_back({{0, i}, 4, 8});
+        context.push_back({{1, i}, 4, 8});
+    }
+    StageTiming free_stage0 = uniformTiming(std::ldexp(1.0, -20), 0.0);
+    free_stage0.fixedSeconds[0] = 0.0;
+    const std::pair<StageTiming, std::uint64_t> cases[] = {
+        {uniformTiming(std::ldexp(1.0, -20), 0.0), kGolden},
+        {free_stage0, kGoldenFreeStage0}};
+    for (const auto &[timing, golden] : cases) {
+        for (const bool cohort : {true, false}) {
+            BlockKvManager kv(cfg, score, context);
+            PipelineOptions opts;
+            opts.cohortFastPath = cohort;
+            const PipelineStats s =
+                runPipeline(w, cfg, timing, kv, opts);
+            EXPECT_GT(s.evictions, 0u);
+            EXPECT_EQ(kv.numResident(), 0u);
+            EXPECT_EQ(hashOf(s), golden) << std::hex << hashOf(s);
+        }
+    }
 }
 
 } // namespace
