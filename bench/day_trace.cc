@@ -50,12 +50,15 @@ assertStatsIdentical(const PipelineStats &a, const PipelineStats &b,
                a.utilization == b.utilization &&
                a.evictions == b.evictions &&
                a.recomputedTokens == b.recomputedTokens &&
+               a.stormEvictions == b.stormEvictions &&
                a.skippedRequests == b.skippedRequests &&
                a.peakConcurrency == b.peakConcurrency &&
                a.avgContext == b.avgContext &&
                a.itemsProcessed == b.itemsProcessed &&
                a.contextTokensSum == b.contextTokensSum &&
                a.stageBusySumSeconds == b.stageBusySumSeconds &&
+               a.bubbleFraction == b.bubbleFraction &&
+               a.outputTokenBins == b.outputTokenBins &&
                a.ttftSamples == b.ttftSamples &&
                a.interTokenSamples == b.interTokenSamples,
                "day_trace: stats diverged: ", what);

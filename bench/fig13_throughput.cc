@@ -40,6 +40,10 @@ assertBitIdentical(const PipelineStats &a, const PipelineStats &b)
                a.outputTokenBins == b.outputTokenBins &&
                a.peakConcurrency == b.peakConcurrency &&
                a.avgContext == b.avgContext &&
+               a.itemsProcessed == b.itemsProcessed &&
+               a.contextTokensSum == b.contextTokensSum &&
+               a.stageBusySumSeconds == b.stageBusySumSeconds &&
+               a.bubbleFraction == b.bubbleFraction &&
                a.ttftSamples == b.ttftSamples &&
                a.interTokenSamples == b.interTokenSamples,
                "fig13: cohort fast path diverged from slow path");

@@ -17,6 +17,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/logging.hh"
+
 namespace ouro
 {
 
@@ -71,14 +73,28 @@ class WaferGeometry
         return static_cast<std::uint64_t>(dieRows_) * dieCols_;
     }
 
-    /** Flatten / unflatten core coordinates. */
-    std::uint64_t coreIndex(CoreCoord c) const;
+    /** Flatten / unflatten core coordinates. coreIndex, dieOf,
+     *  sameDie and contains are inline: one wafer build calls them
+     *  about 200k times. */
+    std::uint64_t coreIndex(CoreCoord c) const
+    {
+        ouroAssert(contains(c), "coreIndex: coordinate off wafer (",
+                   c.row, ",", c.col, ")");
+        return static_cast<std::uint64_t>(c.row) * cols() + c.col;
+    }
     CoreCoord coreAt(std::uint64_t index) const;
 
     /** Die containing a core. */
-    DieCoord dieOf(CoreCoord c) const;
+    DieCoord dieOf(CoreCoord c) const
+    {
+        ouroAssert(contains(c), "dieOf: coordinate off wafer");
+        return {c.row / coresPerDieRow_, c.col / coresPerDieCol_};
+    }
 
-    bool sameDie(CoreCoord a, CoreCoord b) const;
+    bool sameDie(CoreCoord a, CoreCoord b) const
+    {
+        return dieOf(a) == dieOf(b);
+    }
 
     /** Manhattan hop distance on the global core mesh. Inline: the
      *  mapping cost tables call it once per candidate pair. */
@@ -96,7 +112,10 @@ class WaferGeometry
     std::uint32_t dieCrossings(CoreCoord a, CoreCoord b) const;
 
     /** Validity check for a coordinate. */
-    bool contains(CoreCoord c) const;
+    bool contains(CoreCoord c) const
+    {
+        return c.row < rows() && c.col < cols();
+    }
 
     /**
      * Cores of the wafer in S-shaped (boustrophedon) order: dies are

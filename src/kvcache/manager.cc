@@ -1,96 +1,12 @@
 #include "manager.hh"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 
 #include "common/logging.hh"
 
 namespace ouro
 {
-
-namespace
-{
-
-/** Mask of the first @p crossbars crossbars. */
-std::uint64_t
-allXbars(std::uint32_t crossbars)
-{
-    return crossbars >= 64 ? ~std::uint64_t{0}
-                           : (std::uint64_t{1} << crossbars) - 1;
-}
-
-} // namespace
-
-BlockKvManager::CoreState
-BlockKvManager::CoreState::empty(const KvCoreInfo &info)
-{
-    if (info.crossbars > kMaxCrossbars) {
-        fatal("BlockKvManager: KV core (", info.coord.row, ",",
-              info.coord.col, ") has ", info.crossbars,
-              " crossbars; at most ", kMaxCrossbars,
-              " per core are supported");
-    }
-    CoreState state;
-    state.info = info;
-    state.freePerXbar.assign(info.crossbars, info.blocksPerCrossbar);
-    state.levels.assign(info.blocksPerCrossbar + 1, 0);
-    state.levels[info.blocksPerCrossbar] = allXbars(info.crossbars);
-    state.topLevel = info.crossbars > 0 ? info.blocksPerCrossbar : 0;
-    state.freeBlocks = info.crossbars * info.blocksPerCrossbar;
-    return state;
-}
-
-std::uint32_t
-BlockKvManager::CoreState::emptiestXbar() const
-{
-    return static_cast<std::uint32_t>(std::countr_zero(levels[topLevel]));
-}
-
-std::uint32_t
-BlockKvManager::CoreState::firstFreeXbar() const
-{
-    // Bits past the last crossbar are clear in levels[0], so they are
-    // set here - but a real crossbar with a free block sorts first.
-    return static_cast<std::uint32_t>(std::countr_zero(~levels[0]));
-}
-
-void
-BlockKvManager::CoreState::take(std::uint32_t x)
-{
-    const std::uint32_t f = freePerXbar[x];
-    const std::uint64_t bit = std::uint64_t{1} << x;
-    levels[f] &= ~bit;
-    levels[f - 1] |= bit;
-    freePerXbar[x] = f - 1;
-    --freeBlocks;
-    if (f == topLevel && levels[f] == 0)
-        topLevel = f - 1; // x itself now sits on level f - 1
-}
-
-void
-BlockKvManager::CoreState::give(std::uint32_t x, std::uint32_t n)
-{
-    const std::uint32_t f = freePerXbar[x];
-    ouroAssert(f + n <= info.blocksPerCrossbar,
-               "BlockKvManager: double free");
-    const std::uint64_t bit = std::uint64_t{1} << x;
-    levels[f] &= ~bit;
-    levels[f + n] |= bit;
-    freePerXbar[x] = f + n;
-    freeBlocks += n;
-    topLevel = std::max(topLevel, f + n);
-}
-
-void
-BlockKvManager::CoreState::fence()
-{
-    std::fill(freePerXbar.begin(), freePerXbar.end(), 0u);
-    std::fill(levels.begin(), levels.end(), std::uint64_t{0});
-    levels[0] = allXbars(info.crossbars);
-    topLevel = 0;
-    freeBlocks = 0;
-}
 
 BlockKvManager::BlockKvManager(const ModelConfig &model,
                                std::vector<KvCoreInfo> score_cores,
@@ -109,12 +25,12 @@ BlockKvManager::BlockKvManager(const ModelConfig &model,
     for (auto &info : score_cores) {
         totalBlocks_ += static_cast<std::uint64_t>(info.crossbars) *
                         info.blocksPerCrossbar;
-        score_.push_back(CoreState::empty(info));
+        score_.push_back(emptyCore(info));
     }
     for (auto &info : context_cores) {
         totalBlocks_ += static_cast<std::uint64_t>(info.crossbars) *
                         info.blocksPerCrossbar;
-        context_.push_back(CoreState::empty(info));
+        context_.push_back(emptyCore(info));
     }
     plan_.resize(2 * static_cast<std::size_t>(heads_));
     sizeScratch();
@@ -135,47 +51,36 @@ BlockKvManager::blocksFor(std::uint64_t tokens) const
             ceilDiv(tokens, tokensPerBlock_));
 }
 
-std::uint8_t
-BlockKvManager::takeBlock(CoreState &core, bool is_v, bool first)
+BlockKvManager::CoreState
+BlockKvManager::emptyCore(const KvCoreInfo &info) const
 {
-    ouroAssert(core.totalFree() > 0, "takeBlock: core has no free block");
-    std::uint32_t chosen;
-    if (!is_v) {
-        // K grows along output channels: any crossbar works; pick the
-        // emptiest to keep write pressure spread.
-        chosen = core.emptiestXbar();
-    } else if (core.freePerXbar[kHomeXbar] > 0) {
-        // V prefers its home crossbar (single-pass accumulation).
-        chosen = kHomeXbar;
-    } else {
-        // Spilling to another crossbar costs an extra partial-sum
-        // merge, which we count.
-        chosen = core.firstFreeXbar();
-        if (!first)
-            ++vSpills_;
-    }
-    ouroAssert(chosen < core.info.crossbars,
-               "takeBlock: no free crossbar despite free count");
-    core.take(chosen);
-    ++usedBlocks_;
-    return static_cast<std::uint8_t>(chosen);
+    const double capacity = static_cast<double>(info.crossbars) *
+                            info.blocksPerCrossbar;
+    CoreState core;
+    core.info = info;
+    core.freeBlocks = info.crossbars * info.blocksPerCrossbar;
+    core.homeFree = info.crossbars > 0 ? info.blocksPerCrossbar : 0;
+    // Admission requires the post-allocation residue to stay at or
+    // above this reserve - small (spare-crossbar) cores therefore only
+    // take sequences they can also grow (Section 4.4.4's
+    // anti-thrashing rule).
+    core.reserve =
+        static_cast<std::uint32_t>(std::ceil(threshold_ * capacity));
+    core.fullBelow = threshold_ * capacity;
+    return core;
 }
 
 void
 BlockKvManager::applyThreshold(CoreState &core)
 {
-    const double capacity = static_cast<double>(core.info.crossbars) *
-                            core.info.blocksPerCrossbar;
-    if (static_cast<double>(core.totalFree()) < threshold_ * capacity)
+    if (static_cast<double>(core.freeBlocks) < core.fullBelow)
         core.markedFull = true;
 }
 
 void
 BlockKvManager::clearThreshold(CoreState &core)
 {
-    const double capacity = static_cast<double>(core.info.crossbars) *
-                            core.info.blocksPerCrossbar;
-    if (core.totalFree() > threshold_ * capacity)
+    if (core.freeBlocks > core.fullBelow)
         core.markedFull = false;
 }
 
@@ -245,15 +150,6 @@ BlockKvManager::planRing(const std::vector<CoreState> &ring,
         ++probe;
         if (core.markedFull)
             continue;
-        // Admission requires the post-allocation residue to stay
-        // above the threshold reserve - small (spare-crossbar) cores
-        // therefore only take sequences they can also grow (Section
-        // 4.4.4's anti-thrashing rule).
-        const double capacity =
-            static_cast<double>(core.info.crossbars) *
-            core.info.blocksPerCrossbar;
-        const auto reserve = static_cast<std::uint32_t>(
-                std::ceil(threshold_ * capacity));
         // Blocks this walk already planned on the core: only a walk
         // that has wrapped the ring can revisit one.
         std::uint32_t planned = 0;
@@ -261,7 +157,7 @@ BlockKvManager::planRing(const std::vector<CoreState> &ring,
             for (std::uint32_t h = 0; h < placed; ++h)
                 planned += cores[h] == index ? need : 0;
         }
-        if (core.totalFree() >= planned + need + reserve)
+        if (core.freeBlocks >= planned + need + core.reserve)
             cores[placed++] = index;
     }
     cursor = probe % ring_size;
@@ -273,18 +169,24 @@ BlockKvManager::commitRing(std::vector<CoreState> &ring,
                            SequenceState &seq, std::uint32_t need,
                            bool is_v)
 {
-    const std::uint32_t stride = 2 * heads_;
     const std::uint32_t base = is_v ? heads_ : 0;
     for (std::uint32_t h = base; h < base + heads_; ++h) {
         CoreState &core = ring[seq.cores[h]];
-        ouroAssert(core.totalFree() >= need,
+        ouroAssert(core.freeBlocks >= need,
                    "tryAdmitOnce: planned alloc failed");
-        for (std::uint32_t b = 0; b < need; ++b) {
-            seq.xbars[static_cast<std::size_t>(b) * stride + h] =
-                takeBlock(core, is_v, b == 0);
+        core.freeBlocks -= need;
+        if (is_v) {
+            // The head's blocks take the home crossbar while it has
+            // room, then spill; a spill counts only after the head's
+            // first block (need >= 1, so this never underflows).
+            const std::uint32_t home = std::min(core.homeFree, need);
+            core.homeFree -= home;
+            seq.homeBlocks[h - heads_] = home;
+            vSpills_ += need - home - (home == 0 ? 1 : 0);
         }
         applyThreshold(core);
     }
+    usedBlocks_ += static_cast<std::uint64_t>(need) * heads_;
 }
 
 std::uint32_t
@@ -359,7 +261,7 @@ BlockKvManager::tryAdmitOnce(std::uint64_t seq_id,
                   (static_cast<std::uint64_t>(need) - 1) *
                   tokensPerBlock_);
     seq.cores = plan_;
-    seq.xbars.resize(static_cast<std::size_t>(need) * 2 * heads_);
+    seq.homeBlocks.resize(heads_);
     commitRing(score_, seq, need, false);
     commitRing(context_, seq, need, true);
     scoreCursor_ = score_cursor;
@@ -476,7 +378,7 @@ BlockKvManager::ringFits(const std::vector<CoreState> &ring,
         ++demand_[cores[h]];
     bool fits = true;
     for (std::uint32_t h = 0; h < heads_; ++h)
-        fits &= ring[cores[h]].totalFree() >= demand_[cores[h]];
+        fits &= ring[cores[h]].freeBlocks >= demand_[cores[h]];
     for (std::uint32_t h = 0; h < heads_; ++h)
         demand_[cores[h]] = 0;
     return fits;
@@ -514,21 +416,26 @@ BlockKvManager::grow(KvHandle handle)
         ++evictions_;
     }
 
-    const std::uint32_t stride = 2 * heads_;
-    seq.xbars.resize(seq.xbars.size() + stride);
-    std::uint8_t *row =
-        seq.xbars.data() + static_cast<std::size_t>(seq.blocks) * stride;
-    const bool first = seq.blocks == 0;
+    // One block per head. A grown block is never a head's first
+    // (admission gives every head at least one), so a V block that
+    // misses its home crossbar always counts as a spill.
     for (std::uint32_t h = 0; h < heads_; ++h) {
         CoreState &core = score_[cores[h]];
-        row[h] = takeBlock(core, false, first);
+        --core.freeBlocks;
         applyThreshold(core);
     }
-    for (std::uint32_t h = heads_; h < stride; ++h) {
-        CoreState &core = context_[cores[h]];
-        row[h] = takeBlock(core, true, first);
+    for (std::uint32_t h = 0; h < heads_; ++h) {
+        CoreState &core = context_[cores[heads_ + h]];
+        --core.freeBlocks;
+        if (core.homeFree > 0) {
+            --core.homeFree;
+            ++seq.homeBlocks[h];
+        } else {
+            ++vSpills_;
+        }
         applyThreshold(core);
     }
+    usedBlocks_ += 2 * heads_;
     ++seq.blocks;
     seq.lastBlockFill = 1;
     ++seq.tokens;
@@ -555,23 +462,14 @@ BlockKvManager::releaseSlot(std::uint32_t slot)
     SequenceState &seq = slots_[slot];
     const std::uint32_t stride = 2 * heads_;
     for (std::uint32_t h = 0; h < stride; ++h) {
-        CoreState &core =
-            (h < heads_ ? score_ : context_)[seq.cores[h]];
-        // Return the head's blocks one crossbar run at a time (V's
-        // blocks mostly share its home crossbar).
-        std::uint32_t run_xbar = seq.xbars[h];
-        std::uint32_t run = 0;
-        for (std::uint32_t b = 0; b < seq.blocks; ++b) {
-            const std::uint32_t xbar =
-                seq.xbars[static_cast<std::size_t>(b) * stride + h];
-            if (xbar != run_xbar) {
-                core.give(run_xbar, run);
-                run_xbar = xbar;
-                run = 0;
-            }
-            ++run;
-        }
-        core.give(run_xbar, run);
+        const bool is_v = h >= heads_;
+        CoreState &core = (is_v ? context_ : score_)[seq.cores[h]];
+        core.freeBlocks += seq.blocks;
+        if (is_v)
+            core.homeFree += seq.homeBlocks[h - heads_];
+        ouroAssert(core.freeBlocks <= core.info.crossbars *
+                                              core.info.blocksPerCrossbar,
+                   "BlockKvManager: double free");
         clearThreshold(core);
     }
     usedBlocks_ -= static_cast<std::uint64_t>(seq.blocks) * stride;
@@ -581,7 +479,7 @@ BlockKvManager::releaseSlot(std::uint32_t slot)
     // A released slot keeps no per-head storage: peak memory follows
     // the resident set, not every sequence the slot ever held.
     std::vector<std::uint32_t>().swap(seq.cores);
-    std::vector<std::uint8_t>().swap(seq.xbars);
+    std::vector<std::uint32_t>().swap(seq.homeBlocks);
     seq.blocks = 0;
     seq.lastBlockFill = 0;
     seq.live = false;
@@ -661,7 +559,8 @@ BlockKvManager::dropCore(CoreCoord coord)
             if (!(core.info.coord == coord))
                 continue;
             totalBlocks_ -= core.freeBlocks;
-            core.fence();
+            core.freeBlocks = 0;
+            core.homeFree = 0;
             core.markedFull = true;
         }
     };
@@ -679,7 +578,7 @@ BlockKvManager::adoptCore(const KvCoreInfo &info, bool score_duty)
     for (const auto *ring : {&score_, &context_}) {
         for (const auto &core : *ring) {
             ouroAssert(!(core.info.coord == info.coord) ||
-                               (core.totalFree() == 0 &&
+                               (core.freeBlocks == 0 &&
                                 core.markedFull),
                        "adoptCore: core (", info.coord.row, ",",
                        info.coord.col, ") is already live in the "
@@ -689,7 +588,7 @@ BlockKvManager::adoptCore(const KvCoreInfo &info, bool score_duty)
     auto &ring = score_duty ? score_ : context_;
     totalBlocks_ += static_cast<std::uint64_t>(info.crossbars) *
                     info.blocksPerCrossbar;
-    ring.push_back(CoreState::empty(info));
+    ring.push_back(emptyCore(info));
     sizeScratch();
     ++capacityEpoch_; // new capacity and a new ring size
     return static_cast<std::uint32_t>(ring.size() - 1);

@@ -13,9 +13,11 @@
  *    attention head starting at the ring cursor, so consecutive
  *    sequences land on distinct cores (compute/write separation) and
  *    heads on distinct cores (no intra-core concat pressure);
- *  - K grows along output channels: new blocks may come from OTHER
- *    crossbars of the core; V grows along input channels: new blocks
- *    prefer the SAME crossbar so accumulation stays single-pass;
+ *  - K grows along output channels: new blocks may come from any
+ *    crossbar of the core, so K keeps no crossbar record; V grows
+ *    along input channels: new blocks prefer its home crossbar so
+ *    accumulation stays single-pass, and a block that misses it
+ *    counts as a V spill;
  *  - a logical block (128 rows x 1024 bits) holds 128 tokens of one
  *    head (head_dim <= 128), matching "the head dimensions of
  *    prevalent models";
@@ -114,7 +116,7 @@ class KvHandle
  * Per-block KV manager. Thread-compatible, deterministic; the
  * multi-level translation (page table -> bitmap -> block registers,
  * Fig. 12) is modelled by the seq -> head placement map, per-core
- * free-block counters, and per-(seq, head, block) crossbar records.
+ * free-block counters, and per-(seq, V head) home-crossbar counts.
  */
 class BlockKvManager
 {
@@ -125,8 +127,6 @@ class BlockKvManager
      * @param threshold fraction of a core's blocks kept in reserve
      *        for growth once the ring cursor visits it (Fig. 17
      *        sweep).
-     * A core may hold at most 64 crossbars; a larger core is rejected
-     * here (and by adoptCore) with a checked error.
      */
     BlockKvManager(const ModelConfig &model,
                    std::vector<KvCoreInfo> score_cores,
@@ -241,47 +241,27 @@ class BlockKvManager
 
   private:
     /**
-     * Free-block accounting for one ring core. Besides the per-crossbar
-     * free counts it keeps one crossbar mask per free level, so both
-     * allocation policies pick their crossbar in O(1) instead of
-     * scanning the crossbars: K's emptiest crossbar is the lowest set
-     * bit of the top level's mask, V's fallback the lowest crossbar
-     * outside level 0. Cores hold at most kMaxCrossbars crossbars (one
-     * 64-bit mask per level; checked when a core enters the pool).
+     * Free-block accounting for one ring core. Admission and growth
+     * test core totals only, so no crossbar-level state is kept: V's
+     * spill rule needs just the free blocks of its home crossbar.
+     * The threshold terms are fixed per core and cached when the core
+     * enters the pool.
      */
     struct CoreState
     {
         KvCoreInfo info;
-        std::vector<std::uint32_t> freePerXbar; ///< blocks free
-        /** levels[f]: crossbars with exactly f free blocks. */
-        std::vector<std::uint64_t> levels;
-        /** Highest f with a non-empty levels[f]. */
-        std::uint32_t topLevel = 0;
-        /** Sum of freePerXbar, kept in step by every writer: the
-         *  admission walk and the grow fit check read it per probe. */
         std::uint32_t freeBlocks = 0;
+        /** Free blocks of crossbar 0, V's home crossbar (single-pass
+         *  accumulation); read only on the context ring. */
+        std::uint32_t homeFree = 0;
+        /** Admission reserve, ceil(threshold * capacity) blocks. */
+        std::uint32_t reserve = 0;
+        /** threshold * capacity: the core is marked full below it and
+         *  the mark clears above it. */
+        double fullBelow = 0.0;
         bool markedFull = false;
-
-        std::uint32_t totalFree() const { return freeBlocks; }
-
-        /** Emptiest crossbar, lowest index on ties; needs a free block. */
-        std::uint32_t emptiestXbar() const;
-        /** Lowest-index crossbar with a free block; needs a free block. */
-        std::uint32_t firstFreeXbar() const;
-        /** Take one block from crossbar @p x (which has one free). */
-        void take(std::uint32_t x);
-        /** Return @p n blocks to crossbar @p x. */
-        void give(std::uint32_t x, std::uint32_t n);
-        /** Zero every crossbar's free count (a dropped core). */
-        void fence();
-
-        /** An empty core: every crossbar's blocks free. */
-        static CoreState empty(const KvCoreInfo &info);
     };
 
-    static constexpr std::uint32_t kMaxCrossbars = 64;
-    /** V's preferred crossbar on its core (single-pass accumulation). */
-    static constexpr std::uint32_t kHomeXbar = 0;
     static constexpr std::uint32_t kNilSlot = 0xffffffffu;
 
     /**
@@ -300,9 +280,9 @@ class BlockKvManager
         /** Ring core of every head: K heads (score ring) first, then V
          *  heads (context ring). */
         std::vector<std::uint32_t> cores;
-        /** Crossbar of every block, block-major in `cores` order: the
-         *  Fig. 12c block registers, read back on release. */
-        std::vector<std::uint8_t> xbars;
+        /** Blocks of every V head that sit in its core's home crossbar,
+         *  returned to the core's homeFree on release. */
+        std::vector<std::uint32_t> homeBlocks;
         /** Intrusive admission-order list (head = LRU, tail = MRU). */
         std::uint32_t mruPrev = kNilSlot;
         std::uint32_t mruNext = kNilSlot;
@@ -379,15 +359,11 @@ class BlockKvManager
                   std::uint32_t need, std::uint32_t *cores,
                   std::uint32_t &cursor) const;
 
-    /** Allocate a planned ring's blocks, head by head, into @p seq
-     *  (@p is_v selects the V half of its cores and the V policy). */
+    /** Allocate a planned ring's @p need blocks per head into @p seq,
+     *  O(1) per head (@p is_v selects the V half of its cores and the
+     *  V home-crossbar policy). */
     void commitRing(std::vector<CoreState> &ring, SequenceState &seq,
                     std::uint32_t need, bool is_v);
-
-    /** Allocate one block on @p core under the K or V policy and
-     *  return its crossbar; @p first is a head's first block (V
-     *  counts a spill only after it). */
-    std::uint8_t takeBlock(CoreState &core, bool is_v, bool first);
 
     /** Whether every core of @p ring named by heads_ entries of
      *  @p cores has one free block per head placed on it. */
@@ -396,6 +372,9 @@ class BlockKvManager
 
     /** Ensure the per-core scratch covers both rings. */
     void sizeScratch();
+
+    /** An empty core: every block free, threshold terms cached. */
+    CoreState emptyCore(const KvCoreInfo &info) const;
 
     /** Apply the anti-thrashing threshold rule to a cursor core. */
     void applyThreshold(CoreState &core);

@@ -285,6 +285,11 @@ runPipeline(const Workload &workload, const ModelConfig &model,
         opts.timingCache ? *opts.timingCache : local_cache;
     const std::uint64_t cache_hits0 = cache.hits();
     const std::uint64_t cache_misses0 = cache.misses();
+    // `timing` is fixed for the run, so the cache's coefficient check
+    // runs once, at the run's first token lookup - where token() would
+    // first have flushed - and later lookups skip it. A pure-TGP run
+    // looks up no other shape, so nothing re-primes the cache between.
+    bool token_coefficients_checked = false;
 
     std::deque<Pending> queue;
     for (std::size_t i = 0; i < workload.requests.size(); ++i) {
@@ -925,8 +930,11 @@ runPipeline(const Workload &workload, const ModelConfig &model,
         if (is_prefill) {
             if (token_grained) {
                 if (pure_tgp) {
-                    item = &cache.token(
-                            timing,
+                    if (!token_coefficients_checked) {
+                        cache.checkCoefficients(timing);
+                        token_coefficients_checked = true;
+                    }
+                    item = &cache.checkedToken(
                             attendedContext(model.attention,
                                             seq.prefillEntered,
                                             seq.prefillLen));
@@ -1005,6 +1013,22 @@ runPipeline(const Workload &workload, const ModelConfig &model,
                 seq.nextReady = entry;
                 lane_push({seq.nextReady, seq.id, seq.generation,
                            top.pos});
+                // No admission retry: it could admit nothing. Whether
+                // pump_admissions admits depends only on the KV pool,
+                // the wait queue, resident_count and
+                // admissions_suspended, and a failed admission changes
+                // none of them, so a pump repeated on unchanged inputs
+                // admits nothing. This token changed none of them
+                // either: its KV was reserved at admission, and it
+                // neither completes nor evicts. Every step that does
+                // change one pumps before any prefill token can run:
+                // completions, self-evictions, storm events and
+                // skipped requests pump at once; a slow-path decode grow reaches the
+                // pump at the end of its own event; and a cohort pass
+                // that ends on an eviction leaves only decode events
+                // (it runs with no sequence in prefill and admits
+                // nothing after its last pump), each of which pumps.
+                continue;
             }
         } else {
             if (seq.decoded == 0)

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstring>
 
+#include "common/logging.hh"
+
 namespace ouro
 {
 
@@ -99,6 +101,7 @@ void
 TimingCache::invalidate()
 {
     tokens_.clear();
+    tokenCount_ = 0;
     sequences_.clear();
     blockedFinal_.clear();
     blockedDeferred_.reset();
@@ -108,43 +111,51 @@ TimingCache::invalidate()
 std::size_t
 TimingCache::size() const
 {
-    return tokens_.size() + sequences_.size() + blockedFinal_.size() +
+    return tokenCount_ + sequences_.size() + blockedFinal_.size() +
            (blockedDeferred_ ? 1 : 0);
+}
+
+void
+TimingCache::checkCoefficients(const StageTiming &timing)
+{
+    // A bitwise compare of the stored coefficients is a handful of ns;
+    // hashing here would cost more than the memoized computation
+    // saves.
+    if (primed_ &&
+        std::memcmp(&stored_, &timing, sizeof(StageTiming)) == 0)
+        return;
+    invalidate();
+    stored_ = timing;
+    primed_ = true;
 }
 
 void
 TimingCache::sync(const StageTiming &timing, double attn_parallel)
 {
-    // Hot path: a bitwise compare of the stored coefficients is a
-    // handful of ns and runs on every lookup; hashing here would
-    // cost more than the memoized computation saves.
-    if (primed_ &&
-        std::memcmp(&stored_, &timing, sizeof(StageTiming)) == 0 &&
-        attn_parallel == attnParallel_)
-        return;
-    invalidate();
-    stored_ = timing;
-    attnParallel_ = attn_parallel;
-    primed_ = true;
+    if (attn_parallel != attnParallel_) {
+        invalidate();
+        attnParallel_ = attn_parallel;
+    }
+    checkCoefficients(timing);
 }
 
 const ItemTiming &
-TimingCache::token(const StageTiming &timing, std::uint64_t ctx)
+TimingCache::tokenMiss(std::uint64_t bucket)
 {
-    sync(timing, attnParallel_);
-    const std::uint64_t bucket = ctx >> shift_;
-    const auto it = tokens_.find(bucket);
-    if (it != tokens_.end()) {
-        ++hits_;
-        return it->second;
-    }
+    ouroAssert(primed_, "TimingCache: checkedToken() before any "
+                        "checkCoefficients()");
     ++misses_;
+    if (bucket >= tokens_.size()) {
+        ItemTiming empty;
+        empty.tokens = 0;
+        tokens_.resize(bucket + 1, empty);
+    }
+    ++tokenCount_;
     // The bucket base is its representative context; with the default
     // shift of 0 this is ctx itself and the entry is bit-identical to
-    // freshTokenItem(timing, ctx).
-    const std::uint64_t rep = bucket << shift_;
-    return tokens_.emplace(bucket, freshTokenItem(timing, rep))
-        .first->second;
+    // freshTokenItem(timing, ctx). stored_ holds the checked
+    // coefficients bit for bit.
+    return tokens_[bucket] = freshTokenItem(stored_, bucket << shift_);
 }
 
 const ItemTiming &

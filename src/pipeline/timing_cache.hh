@@ -18,12 +18,21 @@
  *  - TGP-with-block items (deferred and final-token), keyed on
  *    (mask, prefill length).
  *
+ * Token items live in a flat table indexed by bucket (grown on
+ * demand): a prefill token's lookup is an index, not a hash probe.
+ * The table's size follows the largest bucket looked up, which a run
+ * reaches only by streaming a prompt that long.
+ *
  * Invalidation: on every lookup the cache bitwise-compares the
  * StageTiming coefficients against the copy its entries were built
  * from and flushes itself when they differ — a remap
  * (replacement-chain recovery, new placement) rederives StageTiming,
- * so stale entries can never be served. invalidate() also flushes
- * explicitly for callers that reuse one cache across deployments.
+ * so stale entries can never be served. A caller whose coefficients
+ * cannot change between lookups (one pipeline run) may instead run
+ * that check once through checkCoefficients() and then look token
+ * items up with checkedToken(), which skips it. invalidate() also
+ * flushes explicitly for callers that reuse one cache across
+ * deployments.
  * stageTimingFingerprint() is a diagnostic digest of the same
  * coefficients (handy in tests and logs); the hot-path check itself
  * is the exact compare, not the hash.
@@ -36,6 +45,7 @@
 #include <cstdint>
 #include <optional>
 #include <unordered_map>
+#include <vector>
 
 #include "model/masks.hh"
 #include "pipeline/timing.hh"
@@ -109,9 +119,36 @@ class TimingCache
     {
     }
 
-    /** Token item at attended context @p ctx. */
-    const ItemTiming &token(const StageTiming &timing,
-                            std::uint64_t ctx);
+    /** Token item at attended context @p ctx. The reference is valid
+     *  until the next token lookup. */
+    const ItemTiming &token(const StageTiming &timing, std::uint64_t ctx)
+    {
+        checkCoefficients(timing);
+        return checkedToken(ctx);
+    }
+
+    /**
+     * The coefficient check token() runs: flush unless the entries
+     * were built on @p timing. The attention parallelism of the
+     * sequence and blocked shapes is not compared.
+     */
+    void checkCoefficients(const StageTiming &timing);
+
+    /**
+     * Token item at attended context @p ctx without the coefficient
+     * check: the caller ran checkCoefficients() on the coefficients it
+     * means, and no lookup on other coefficients has run since. The
+     * reference is valid until the next token lookup.
+     */
+    const ItemTiming &checkedToken(std::uint64_t ctx)
+    {
+        const std::uint64_t bucket = ctx >> shift_;
+        if (bucket < tokens_.size() && tokens_[bucket].tokens != 0) {
+            ++hits_;
+            return tokens_[bucket];
+        }
+        return tokenMiss(bucket);
+    }
 
     /** Whole-prefill sequence item. */
     const ItemTiming &sequence(const StageTiming &timing,
@@ -139,8 +176,12 @@ class TimingCache
     unsigned ctxBucketShift() const { return shift_; }
 
   private:
-    /** Flush when the StageTiming coefficients changed underneath. */
+    /** Flush when the StageTiming coefficients or the attention
+     *  parallelism changed underneath. */
     void sync(const StageTiming &timing, double attn_parallel);
+
+    /** Build, store and return the token item of @p bucket. */
+    const ItemTiming &tokenMiss(std::uint64_t bucket);
 
     unsigned shift_;
     bool primed_ = false;
@@ -149,7 +190,10 @@ class TimingCache
     std::uint64_t hits_ = 0;
     std::uint64_t misses_ = 0;
 
-    std::unordered_map<std::uint64_t, ItemTiming> tokens_;
+    /** Token items by bucket; a slot with `tokens == 0` is empty (a
+     *  token item always carries one token). */
+    std::vector<ItemTiming> tokens_;
+    std::size_t tokenCount_ = 0; ///< filled slots of tokens_
     std::unordered_map<std::uint64_t, ItemTiming> sequences_;
     std::unordered_map<std::uint64_t, ItemTiming> blockedFinal_;
     std::optional<ItemTiming> blockedDeferred_;

@@ -930,19 +930,32 @@ class RefKv
     }
 };
 
-TEST(KvManager, MatchesScanReferenceModel)
+/** The interesting states one reference-model drive reached. */
+struct RefDriveCounts
 {
-    // Random admit/grow/growFast/release/dropCore/adoptCore sequences
-    // against RefKv. Cores mix crossbar counts (a 64-crossbar core
-    // exercises the full mask width) and blocks per crossbar, and
-    // admissions cover fills of 0, 1, 127, 128 and 129 tokens.
+    std::uint64_t admitted = 0;
+    std::uint64_t failed = 0;
+    std::uint64_t boundaryGrows = 0;
+    std::uint64_t evictions = 0;
+    std::uint64_t vSpills = 0;
+};
+
+/**
+ * Random admit/grow/growFast/release/dropCore/adoptCore steps on a
+ * 4-head manager over @p score / @p context, checked step by step
+ * against RefKv: V spills, used blocks, evictions, the resident set,
+ * each resident's in-block room and every head's placement. Adopted
+ * cores take their shape from @p adopt_shapes; admissions take their
+ * prompt length from @p tokens_choices.
+ */
+void
+driveAgainstReference(const std::vector<KvCoreInfo> &score,
+                      const std::vector<KvCoreInfo> &context,
+                      const std::vector<KvCoreInfo> &adopt_shapes,
+                      const std::vector<std::uint64_t> &tokens_choices,
+                      std::uint64_t seed, RefDriveCounts &counts)
+{
     const ModelConfig cfg = kvModel();
-    const std::vector<KvCoreInfo> score = {
-        {{0, 0}, 4, 8}, {{0, 1}, 3, 5}, {{0, 2}, 4, 8}, {{0, 3}, 2, 8},
-        {{0, 4}, 5, 3}, {{0, 5}, 4, 8}, {{0, 6}, 1, 9}, {{0, 7}, 4, 8}};
-    const std::vector<KvCoreInfo> context = {
-        {{1, 0}, 2, 8}, {{1, 1}, 3, 4}, {{1, 2}, 2, 8}, {{1, 3}, 6, 2},
-        {{1, 4}, 2, 8}, {{1, 5}, 2, 7}, {{1, 6}, 64, 1}, {{1, 7}, 2, 8}};
     BlockKvManager mgr(cfg, score, context);
     RefKv ref(4, score, context);
 
@@ -951,15 +964,10 @@ TEST(KvManager, MatchesScanReferenceModel)
         live_score.push_back(info.coord);
     for (const KvCoreInfo &info : context)
         live_context.push_back(info.coord);
-    const std::vector<KvCoreInfo> adopt_shapes = {
-        {{0, 0}, 2, 8}, {{0, 0}, 64, 1}, {{0, 0}, 7, 4}};
-    const std::vector<std::uint64_t> tokens_choices = {0,   1,   127, 128,
-                                                       129, 255, 300};
 
-    Rng rng(515);
+    Rng rng(seed);
     std::uint64_t next_id = 1;
     std::uint32_t next_col = 100;
-    std::uint64_t admitted = 0, failed = 0, boundary_grows = 0;
     const auto pick = [&](const auto &v) {
         return v[rng.uniformInt(0, v.size() - 1)];
     };
@@ -970,7 +978,8 @@ TEST(KvManager, MatchesScanReferenceModel)
         return out;
     };
 
-    for (int step = 0; step < 6000 && !HasFailure(); ++step) {
+    for (int step = 0; step < 6000 && !::testing::Test::HasFailure();
+         ++step) {
         const std::uint64_t roll = rng.uniformInt(0, 99);
         const std::vector<std::uint64_t> live = ids();
         if (roll < 35 || live.empty()) {
@@ -978,7 +987,7 @@ TEST(KvManager, MatchesScanReferenceModel)
             const std::uint64_t id = next_id++;
             const bool ok = mgr.admitNoEvict(id, tokens);
             ASSERT_EQ(ok, ref.admitNoEvict(id, tokens)) << "step " << step;
-            ok ? ++admitted : ++failed;
+            ok ? ++counts.admitted : ++counts.failed;
         } else if (roll < 40) {
             const std::uint64_t tokens = pick(tokens_choices);
             const std::uint64_t id = next_id++;
@@ -988,7 +997,7 @@ TEST(KvManager, MatchesScanReferenceModel)
             ASSERT_EQ(r.evicted, e.evicted) << "step " << step;
         } else if (roll < 70) {
             const std::uint64_t id = pick(live);
-            boundary_grows += mgr.growRoom(id) == 0;
+            counts.boundaryGrows += mgr.growRoom(id) == 0;
             const KvResult r = mgr.grow(mgr.handleOf(id));
             const KvResult e = ref.grow(id);
             ASSERT_EQ(r.ok, e.ok) << "step " << step;
@@ -1032,6 +1041,7 @@ TEST(KvManager, MatchesScanReferenceModel)
         ASSERT_EQ(mgr.evictionCount(), ref.evictions) << "step " << step;
         ASSERT_EQ(mgr.numResident(), ref.residents.size());
         for (const std::uint64_t id : ids()) {
+            ASSERT_TRUE(mgr.resident(id)) << "step " << step;
             ASSERT_EQ(mgr.growRoom(id), ref.growRoom(id)) << "step " << step;
             for (std::uint32_t h = 0; h < 4; ++h) {
                 const HeadPlacement a = mgr.headPlacement(id, h);
@@ -1041,21 +1051,52 @@ TEST(KvManager, MatchesScanReferenceModel)
             }
         }
     }
-    // The sequence must reach the interesting states.
-    EXPECT_GT(admitted, 300u);
-    EXPECT_GT(failed, 100u);
-    EXPECT_GT(boundary_grows, 100u);
-    EXPECT_GT(mgr.evictionCount(), 0u);
-    EXPECT_GT(mgr.vSpills(), 0u);
+    counts.evictions = mgr.evictionCount();
+    counts.vSpills = mgr.vSpills();
 }
 
-TEST(KvManager, RejectsCoresWiderThanTheCrossbarMask)
+TEST(KvManager, MatchesScanReferenceModel)
 {
-    const std::vector<KvCoreInfo> wide = {{{0, 0}, 65, 8}};
-    EXPECT_DEATH(BlockKvManager(kvModel(), wide, pool(4, 4, 8, 1)),
-                 "at most 64");
-    BlockKvManager mgr(kvModel(), pool(4), pool(4, 4, 8, 1));
-    EXPECT_DEATH(mgr.adoptCore({{5, 5}, 65, 8}, true), "at most 64");
+    // Cores mix crossbar counts (one with 64) and blocks per crossbar;
+    // admissions cover fills of 0, 1, 127, 128 and 129 tokens.
+    const std::vector<KvCoreInfo> score = {
+        {{0, 0}, 4, 8}, {{0, 1}, 3, 5}, {{0, 2}, 4, 8}, {{0, 3}, 2, 8},
+        {{0, 4}, 5, 3}, {{0, 5}, 4, 8}, {{0, 6}, 1, 9}, {{0, 7}, 4, 8}};
+    const std::vector<KvCoreInfo> context = {
+        {{1, 0}, 2, 8}, {{1, 1}, 3, 4}, {{1, 2}, 2, 8}, {{1, 3}, 6, 2},
+        {{1, 4}, 2, 8}, {{1, 5}, 2, 7}, {{1, 6}, 64, 1}, {{1, 7}, 2, 8}};
+    RefDriveCounts counts;
+    driveAgainstReference(score, context,
+                          {{{0, 0}, 2, 8}, {{0, 0}, 64, 1}, {{0, 0}, 7, 4}},
+                          {0, 1, 127, 128, 129, 255, 300}, 515, counts);
+    // The sequence must reach the interesting states.
+    EXPECT_GT(counts.admitted, 300u);
+    EXPECT_GT(counts.failed, 100u);
+    EXPECT_GT(counts.boundaryGrows, 100u);
+    EXPECT_GT(counts.evictions, 0u);
+    EXPECT_GT(counts.vSpills, 0u);
+}
+
+TEST(KvManager, MatchesScanReferenceModelOnWideCores)
+{
+    // The pool keeps no per-crossbar state, so a core may hold any
+    // number of crossbars: 65 and 128 here, past a 64-bit mask. Long
+    // prompts fill these large cores.
+    std::vector<KvCoreInfo> score, context;
+    for (std::uint32_t c = 0; c < 8; ++c) {
+        score.push_back({{0, c}, c % 2 ? 128u : 65u, 1});
+        context.push_back({{1, c}, c % 2 ? 65u : 128u, 1});
+    }
+    RefDriveCounts counts;
+    driveAgainstReference(score, context,
+                          {{{0, 0}, 65, 1}, {{0, 0}, 128, 1}},
+                          {0, 1, 127, 128, 129, 640, 1000, 1500}, 8191,
+                          counts);
+    EXPECT_GT(counts.admitted, 300u);
+    EXPECT_GT(counts.failed, 50u);
+    EXPECT_GT(counts.boundaryGrows, 100u);
+    EXPECT_GT(counts.evictions, 0u);
+    EXPECT_GT(counts.vSpills, 0u);
 }
 
 /** Property: admit/release round-trips leave zero residue. */

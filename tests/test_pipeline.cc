@@ -1297,5 +1297,54 @@ TEST(PrefillLane, TiedReadyTimesGolden)
     }
 }
 
+// ---- Shared timing cache across runs ----------------------------------
+
+TEST(TimingCache, SharedCachePrimedOnOtherTimingMatchesFreshCache)
+{
+    // The engine checks the cache's coefficients once per run, at its
+    // first token lookup. A shared cache left holding another timing's
+    // entries must flush there, exactly as a per-lookup check would,
+    // so the run - hit and miss counters included - is field for
+    // field the run on a fresh private cache.
+    const ModelConfig cfg = pipeModel();
+    const Workload w = wikiText2Like(40, 512, 5);
+    const StageTiming timing = uniformTiming();
+    const StageTiming other = uniformTiming(3e-6, 2e-9);
+
+    auto kv_fresh = bigKv(cfg);
+    const PipelineStats fresh = runPipeline(w, cfg, timing, kv_fresh, {});
+    ASSERT_GT(fresh.timingCacheMisses, 0u);
+
+    TimingCache shared;
+    PipelineOptions opts;
+    opts.timingCache = &shared;
+    auto kv_primer = bigKv(cfg);
+    runPipeline(w, cfg, other, kv_primer, opts);
+    ASSERT_GT(shared.size(), 0u);
+    auto kv_shared = bigKv(cfg);
+    const PipelineStats reused = runPipeline(w, cfg, timing, kv_shared, opts);
+    EXPECT_EQ(reused.timingCacheHits, fresh.timingCacheHits);
+    EXPECT_EQ(reused.timingCacheMisses, fresh.timingCacheMisses);
+    expectStatsIdentical(reused, fresh);
+    EXPECT_EQ(hashOf(reused), hashOf(fresh));
+
+    // Token items do not depend on the attention parallelism, and the
+    // check compares coefficients only: a primer on the same timing
+    // with another parallelism leaves the next run fully warm.
+    TimingCache warm;
+    PipelineOptions primer_opts;
+    primer_opts.timingCache = &warm;
+    primer_opts.attentionParallelism = 16.0;
+    auto kv_warm_primer = bigKv(cfg);
+    runPipeline(w, cfg, timing, kv_warm_primer, primer_opts);
+    PipelineOptions warm_opts;
+    warm_opts.timingCache = &warm;
+    auto kv_warm = bigKv(cfg);
+    const PipelineStats hot = runPipeline(w, cfg, timing, kv_warm, warm_opts);
+    EXPECT_EQ(hot.timingCacheMisses, 0u);
+    EXPECT_EQ(hot.timingCacheHits,
+              fresh.timingCacheHits + fresh.timingCacheMisses);
+}
+
 } // namespace
 } // namespace ouro
